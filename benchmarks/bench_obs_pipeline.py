@@ -1,7 +1,7 @@
 """Observability-pipeline tail-latency exporter (``BENCH_8.json``).
 
 Runs the same seeded batch workload through every engine backend
-(serial/thread/process/shard) with metrics **off** and **on**, and
+(serial/thread/process, plus sharded × thread) with metrics **off** and **on**, and
 reports per-request tail latency (exact p50/p90/p99 over the results'
 ``elapsed_s``) plus batch wall-clock, so the cost of the full
 observability pipeline — trace assignment, spans, flight records, and
@@ -61,7 +61,13 @@ SPEC = "range.chunked"
 #: merge per envelope, and CI machines are noisy — but it catches an
 #: accidental O(requests) pickle or a per-draw harvest regression.
 GATE_RATIO = 1.75
-BACKENDS = ("serial", "thread", "process", "shard")
+BACKENDS = {
+    # report label -> (execution backend, placement)
+    "serial": ("serial", None),
+    "thread": ("thread", None),
+    "process": ("process", None),
+    "shard": ("thread", "sharded"),
+}
 
 
 def make_keys(n):
@@ -84,8 +90,9 @@ def exact_quantile(sorted_values, q):
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
-def run_backend(backend, keys, batch_template, repeats, workers):
+def run_backend(label, keys, batch_template, repeats, workers):
     """Run ``repeats`` seeded batches; return (per-request us, batch seconds)."""
+    backend, placement = BACKENDS[label]
     n = len(keys)
     per_request_us = []
     batch_seconds = []
@@ -94,7 +101,9 @@ def run_backend(backend, keys, batch_template, repeats, workers):
         token = spec_token(SPEC, {"keys": keys, "rng": 1})
         runner = lambda reqs: engine.run_token(token, reqs)
     else:
-        engine = SamplingEngine(backend=backend, seed=42, max_workers=workers)
+        engine = SamplingEngine(
+            backend=backend, placement=placement, seed=42, max_workers=workers
+        )
         sampler = build(SPEC, keys=keys, rng=1)
         runner = lambda reqs: engine.run(sampler, reqs)
     try:
@@ -110,7 +119,7 @@ def run_backend(backend, keys, batch_template, repeats, workers):
             for result in results:
                 if result.error is not None:
                     raise RuntimeError(
-                        f"{backend} batch failed: {result.error!r}"
+                        f"{label} batch failed: {result.error!r}"
                     )
                 per_request_us.append((result.elapsed_s or 0.0) * 1e6)
     finally:

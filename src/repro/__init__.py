@@ -40,7 +40,6 @@ from repro.core import (
     PlanStore,
     PrecomputedCoverSampler,
     QueryPlan,
-    QueryPlanCache,
     SetUnionSampler,
     Tree,
     TreeSampler,
@@ -132,7 +131,6 @@ __all__ = [
     "PlanScope",
     "PlanStore",
     "QueryPlan",
-    "QueryPlanCache",
     "SetUnionSampler",
     "Tree",
     "TreeSampler",

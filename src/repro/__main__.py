@@ -408,7 +408,7 @@ def main(argv=None) -> int:
         "--s", type=int, default=4, help="samples per request (default: 4)"
     )
     run_parser.add_argument(
-        "--backend", choices=("serial", "thread", "process", "shard"),
+        "--backend", choices=("serial", "thread", "process"),
         default="serial",
     )
     run_parser.add_argument(
@@ -426,11 +426,11 @@ def main(argv=None) -> int:
     )
     run_parser.add_argument(
         "--shards", type=int, default=4,
-        help="shard count for --backend shard (default: 4)",
+        help="shard count for --placement sharded (default: 4)",
     )
     run_parser.add_argument(
         "--workers", type=int, default=None,
-        help="pool width for thread/process/shard backends "
+        help="pool width for thread/process backends and shard fan-out "
              "(default: min(8, cpu_count))",
     )
     run_parser.add_argument(

@@ -33,7 +33,6 @@ from repro.core.dependent import DependentRangeSampler
 from repro.core.dynamic import BucketDynamicSampler, FenwickDynamicSampler
 from repro.core.dynamic_range import DynamicRangeSampler
 from repro.core.naive import NaiveRangeSampler, NaiveSetUnionSampler
-from repro.core.plan_cache import QueryPlanCache
 from repro.core.planner import PlanScope, PlanStore, QueryPlan, plan_scope
 from repro.core.range_sampler import (
     AliasAugmentedRangeSampler,
@@ -64,7 +63,6 @@ __all__ = [
     "DynamicRangeSampler",
     "NaiveRangeSampler",
     "NaiveSetUnionSampler",
-    "QueryPlanCache",
     "QueryPlan",
     "PlanScope",
     "PlanStore",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
-from repro import obs
 from repro.core.alias import AliasTables, alias_draw, build_alias_tables
 from repro.core.planner import QueryPlan, plan_scope
 from repro.core.range_sampler import ChunkedRangeSampler
@@ -209,23 +208,13 @@ class CoverageSampler(EngineSampler):
         Unhashable queries (an index type with, say, list-shaped
         predicates) are planned per call and bypass the store.
         """
-        hint = None
-        if portable is not None:
-            kind, key, hint = portable
-            if kind != self.plan_kind or key != query:
-                hint = None
         try:
-            plan = self.plan_cache.get(query)
+            hash(query)
         except TypeError:  # unhashable query: plan without caching
-            return self._build_plan(query, hint=hint)
-        if plan is None:
-            if obs.ENABLED:
-                with obs.span("plan.build", kind=self.plan_kind):
-                    plan = self._build_plan(query, hint=hint)
-            else:
-                plan = self._build_plan(query, hint=hint)
-            self.plan_cache.put(query, plan)
-        return plan
+            return self._build_plan(query)
+        return self.plan_cache.fetch(
+            query, lambda hint: self._build_plan(query, hint=hint), portable
+        )
 
     def plan_request(self, request) -> QueryPlan:
         """Plan an engine request without executing draws (--explain)."""

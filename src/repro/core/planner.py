@@ -26,10 +26,9 @@ explicit:
 
 ``PlanScope``
     One sampler's view of a store: the sampler-facing ``plan_cache``
-    attribute. It carries the fingerprint, delegates ``get``/``put``,
-    and keeps the per-instance hit/miss/eviction tallies the old
-    ``QueryPlanCache.stats()`` shim exposed (now deprecated in favour of
-    the obs counters; see :meth:`PlanScope.stats`).
+    attribute. It carries the fingerprint, owns the one plan-fetch
+    routine every planful sampler calls (:meth:`PlanScope.fetch`), and
+    reports the per-instance ``hits``/``misses``/``evictions`` tallies.
 
 Because a plan is deterministic, caching and shipping plans cannot
 change any query's output — only its latency. Byte-identity of the
@@ -40,9 +39,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro import obs
 from repro.substrates.env import env_int
@@ -200,11 +198,9 @@ class PlanStore:
     :class:`PlanScope` can report its own numbers even though the
     storage (and the LRU pressure) is shared.
 
-    Capacity resolution and the capacity-0 kill switch behave exactly
-    as the per-instance ``QueryPlanCache`` they replace: ``None`` defers
-    to ``REPRO_PLAN_CACHE_SIZE`` then :data:`DEFAULT_CAPACITY`; ``0``
-    disables the store outright (every lookup is a bypass; counters stay
-    at zero).
+    Capacity resolution: ``None`` defers to ``REPRO_PLAN_CACHE_SIZE``
+    then :data:`DEFAULT_CAPACITY`; ``0`` disables the store outright
+    (every lookup is a bypass; counters stay at zero).
     """
 
     __slots__ = ("_capacity", "_entries", "_lock", "_scope_stats")
@@ -311,17 +307,14 @@ class PlanScope:
     """One sampler's view of a :class:`PlanStore`.
 
     This is what planful samplers expose as ``sampler.plan_cache``. It
-    binds the structure fingerprint and plan kind, so the sampler-side
-    call sites stay the two-liner they always were::
+    binds the structure fingerprint and plan kind, so every sampler
+    fetches its plans with one call::
 
-        plan = self.plan_cache.get((lo, hi))
-        ...
-        self.plan_cache.put((lo, hi), plan)
+        plan = self.plan_cache.fetch((lo, hi), build, portable)
 
     The per-instance ``hits``/``misses``/``evictions`` tallies record
-    regardless of the metrics switch (they are the deprecation-safe
-    alias for the retired ``stats()`` shim); the process-wide
-    aggregates live in the obs registry.
+    regardless of the metrics switch; the process-wide aggregates live
+    in the obs registry.
     """
 
     __slots__ = ("_store", "kind", "fingerprint")
@@ -342,6 +335,31 @@ class PlanScope:
 
     def put(self, key: Hashable, plan: Any) -> None:
         self._store.put(self.fingerprint, self.kind, key, plan)
+
+    def fetch(
+        self,
+        key: Hashable,
+        build: Callable[[Any], Any],
+        portable: Optional[Tuple[str, Hashable, Any]] = None,
+    ) -> Any:
+        """The stored plan for ``key``; on a miss ``build(hint)`` runs in
+        a ``plan.build`` span and its plan is stored. ``hint`` comes from
+        ``portable`` (a :meth:`QueryPlan.portable` form) when its kind and
+        key match this scope's, else ``None``."""
+        plan = self._store.get(self.fingerprint, self.kind, key)
+        if plan is None:
+            hint = None
+            if portable is not None:
+                kind, portable_key, hint = portable
+                if kind != self.kind or portable_key != key:
+                    hint = None
+            if obs.ENABLED:
+                with obs.span("plan.build", kind=self.kind):
+                    plan = build(hint)
+            else:
+                plan = build(hint)
+            self._store.put(self.fingerprint, self.kind, key, plan)
+        return plan
 
     @property
     def hits(self) -> int:
@@ -368,32 +386,6 @@ class PlanScope:
 
     def clear(self) -> None:
         self._store.clear_scope(self.fingerprint)
-
-    def stats(self) -> Dict[str, int]:
-        """Deprecated counter snapshot (the retired per-instance shim).
-
-        The authoritative counters are the obs registry's
-        ``plan_cache.hits`` / ``.misses`` / ``.evictions`` (with
-        per-kind twins and a derived ``plan_cache.hit_rate``); the
-        per-instance numbers remain readable as the ``hits`` /
-        ``misses`` / ``evictions`` attributes. ``stats()`` stays one
-        release as a deprecation-safe alias and is asserted to agree
-        with the counters in ``tests/core/test_planner.py``.
-        """
-        warnings.warn(
-            "PlanScope.stats() is deprecated; read the hits/misses/evictions "
-            "attributes or the obs plan_cache.* counters instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        hits, misses, evictions = self._store.scope_counts(self.fingerprint)
-        return {
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-            "size": len(self),
-            "capacity": self.capacity,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -190,20 +190,9 @@ class RangeSamplerBase(RangeQueryMixin):
             raise NotImplementedError(
                 f"{type(self).__name__} has no query-plan layer"
             )
-        plan = self.plan_cache.get((lo, hi))
-        if plan is None:
-            hint = None
-            if portable is not None:
-                kind, key, hint = portable
-                if kind != self.plan_kind or key != (lo, hi):
-                    hint = None  # foreign hint: fall back to a local build
-            if obs.ENABLED:
-                with obs.span("plan.build", kind=self.plan_kind, span=hi - lo):
-                    plan = self._build_plan(lo, hi, hint=hint)
-            else:
-                plan = self._build_plan(lo, hi, hint=hint)
-            self.plan_cache.put((lo, hi), plan)
-        return plan
+        return self.plan_cache.fetch(
+            (lo, hi), lambda hint: self._build_plan(lo, hi, hint=hint), portable
+        )
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
         """Build the plan for ``[lo, hi)`` (subclass hook).

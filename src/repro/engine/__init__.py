@@ -30,8 +30,8 @@ them all:
   partitions a range structure's key space and splits each request's
   budget multinomially (:class:`~repro.engine.shard.ShardedSampler`,
   re-exported lazily here), and composed with the process backend keeps
-  one shard resident per worker. Legacy backend strings stay valid:
-  ``"shard"`` aliases ``placement="sharded", backend="thread"``.
+  one shard resident per worker. Both process combinations share one
+  :class:`~repro.engine.execution.ProcessSupervisor`.
 
 Quickstart::
 

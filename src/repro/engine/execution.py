@@ -6,11 +6,11 @@ request decomposes — for the sharded placement, into
 their own derived seed. This module owns the orthogonal decision of
 where those tasks execute:
 
-* :class:`SerialShardRunner` — inline, in the calling thread. The
-  baseline every other runner must match byte-for-byte.
-* :class:`ThreadShardRunner` — the sharded view's own thread pool; the
-  legacy ``"shard"`` backend semantics, profitable when shard draws
-  spend their time in GIL-dropping numpy kernels.
+* :class:`ThreadShardRunner` — in process, over the runner's own thread
+  pool; profitable when shard draws spend their time in GIL-dropping
+  numpy kernels. :class:`SerialShardRunner` is the same runner with one
+  worker: every task inline, in plan order — the baseline every other
+  runner must match byte-for-byte.
 * :class:`ProcessShardRunner` — the composed ``sharded × process``
   backend. Each shard is exported **once** (shared memory when the
   structure has an exporter, raw-array rebuild token otherwise) and
@@ -18,10 +18,14 @@ where those tasks execute:
   traffic is then a handful of ints per shard (``lo, hi, quota, seed``)
   — O(log n) pickled bytes — and the draws run GIL-free across cores.
 
-Because every task already carries its stateless seed, all three
-runners produce byte-identical partials; the runner choice changes only
-where the CPU time is spent. Runners are owned by the sharded view they
-are bound to (:meth:`~repro.engine.shard.ShardedSampler.bind_runner`),
+Worker processes — for this runner and for the engine's local ×
+process backend alike — are owned by one :class:`ProcessSupervisor`;
+the two process backends differ only in its routing policy.
+
+Because every task already carries its stateless seed, all runners
+produce byte-identical partials; the runner choice changes only where
+the CPU time is spent. Runners are owned by the sharded view they are
+bound to (:meth:`~repro.engine.shard.ShardedSampler.bind_runner`),
 which the engine's placement owns in turn — ``engine.close()`` tears
 the whole stack down deterministically.
 """
@@ -30,8 +34,8 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Any, List, Optional, Tuple
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.protocol import PlacementPlan
@@ -39,18 +43,151 @@ from repro.errors import WorkerCrashedError
 
 __all__ = [
     "ProcessShardRunner",
+    "ProcessSupervisor",
     "SerialShardRunner",
     "ShardRunner",
     "ThreadShardRunner",
     "make_shard_runner",
 ]
 
+_REBUILDS = obs.counter(
+    "engine.worker_rebuilds",
+    "Sampler rebuilds performed by process-backend workers",
+)
 _SERIALIZED = obs.counter(
     "engine.serialized_bytes",
     "Build-token bytes pickled to process-backend workers (per chunk)",
 )
+_HARVESTS = obs.counter(
+    "engine.harvested_chunks",
+    "Worker metric deltas merged into the parent registry",
+)
 
 Partials = List[Tuple[int, List[int]]]
+
+#: One worker submission: ``(route, key, token, items)``. ``route``
+#: picks the pool slot, ``key`` is the pickled ``token`` (the resident
+#: cache key worker-side), ``items`` the work the entry point executes.
+_Call = Tuple[int, bytes, Tuple[Any, ...], List[Any]]
+
+
+class ProcessSupervisor:
+    """The one owner of worker processes for both process backends.
+
+    Routing is **any** (``pinned=False``: one shared pool of ``workers``
+    processes, for whole-request chunks) or **pinned** (``workers``
+    single-worker pools; route ``j`` always runs on slot
+    ``j % workers``, so a shard stays resident in one process). Pools
+    are created lazily with ``mp_context``. :meth:`run` drains every
+    future and merges each returned envelope exactly once. A dying
+    worker breaks only its slot's pool: the slot is recycled and each
+    item the pool left unsettled re-runs alone, once, on a fresh pool;
+    if that breaks the pool too, the item settles as a
+    :class:`~repro.errors.WorkerCrashedError`.
+    """
+
+    def __init__(
+        self, workers: int, mp_context: Optional[str] = None, pinned: bool = False
+    ):
+        self._mp_context = mp_context
+        self._width = 1 if pinned else workers
+        self._pools: List[Optional[ProcessPoolExecutor]] = [None] * (
+            workers if pinned else 1
+        )
+
+    def _pool(self, slot: int) -> ProcessPoolExecutor:
+        pool = self._pools[slot]
+        if pool is None:
+            pool = self._pools[slot] = ProcessPoolExecutor(
+                max_workers=self._width,
+                mp_context=multiprocessing.get_context(self._mp_context),
+            )
+        return pool
+
+    def _recycle(self, slot: int) -> None:
+        pool, self._pools[slot] = self._pools[slot], None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def _submit(
+        self, slot: int, entry: Callable, key: bytes, token: Any, items: List[Any]
+    ) -> Any:
+        enabled = obs.ENABLED
+        future = self._pool(slot).submit(entry, key, token, items, harvest=enabled)
+        if enabled:
+            # The token pickles to `key` and rides along once per call
+            # (workers cache the build) — the structure-serialization
+            # cost that shm tokens keep O(1) in n.
+            _SERIALIZED.add(len(key))
+        return future
+
+    @staticmethod
+    def _settle(envelope: Tuple[int, List[Any], Optional[dict]]) -> List[Any]:
+        """Fold one returned envelope into the parent; its outcomes."""
+        rebuilds, outcomes, delta = envelope
+        if rebuilds:
+            _REBUILDS.add(rebuilds)
+        if delta is not None:
+            _HARVESTS.inc()
+            obs.merge(delta)
+        return outcomes
+
+    def run(
+        self,
+        entry: Callable,
+        calls: Sequence[_Call],
+        describe: Callable[[int, Any], str],
+    ) -> List[Any]:
+        """Run ``calls`` through the worker ``entry`` point; one outcome
+        per item, flattened in call order. A crashed item's error names
+        ``describe(position, item)``."""
+        npools = len(self._pools)
+        settled: List[Optional[List[Any]]] = [None] * len(calls)
+        pending = []
+        broken = set()
+        for index, (route, key, token, items) in enumerate(calls):
+            slot = route % npools
+            if slot not in broken:
+                try:
+                    future = self._submit(slot, entry, key, token, items)
+                    pending.append((index, slot, future))
+                except BrokenExecutor:
+                    broken.add(slot)
+        for index, slot, future in pending:
+            try:
+                settled[index] = self._settle(future.result())
+            except BrokenExecutor:
+                broken.add(slot)
+        for slot in broken:
+            self._recycle(slot)
+        out: List[Any] = []
+        for (route, key, token, items), outcomes in zip(calls, settled):
+            if outcomes is not None:
+                out.extend(outcomes)
+                continue
+            # The item's pool broke: re-run it alone, once, on a fresh pool.
+            slot = route % npools
+            for item in items:
+                try:
+                    future = self._submit(slot, entry, key, token, [item])
+                    out.extend(self._settle(future.result()))
+                except BrokenExecutor as exc:
+                    self._recycle(slot)
+                    out.append(
+                        WorkerCrashedError(
+                            f"worker process died executing "
+                            f"{describe(len(out), item)}; its pool was "
+                            f"recycled ({exc!r})"
+                        )
+                    )
+        return out
+
+    def close(self) -> None:
+        """Shut every pool down (idempotent; pools reopen lazily)."""
+        pools, self._pools = self._pools, [None] * len(self._pools)
+        for pool in pools:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
 
 class ShardRunner:
@@ -66,52 +203,57 @@ class ShardRunner:
         """Release runner-owned resources (idempotent)."""
 
 
-class SerialShardRunner(ShardRunner):
-    """Run every shard task inline, in plan order."""
-
-    name = "serial"
-
-    def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
-        from repro.engine.shard import run_shard_task
-
-        plans = plan.plans or (None,) * len(plan.tasks)
-        return [
-            run_shard_task(sharded.shards, task, sub)
-            for task, sub in zip(plan.tasks, plans)
-        ]
-
-
 class ThreadShardRunner(ShardRunner):
-    """Fan shard tasks out over the sharded view's own thread pool.
+    """Fan shard tasks out over this runner's own thread pool.
 
-    Delegates to the view's built-in threaded path — the same pool, the
-    same single-task fast path — so ``placement="sharded",
-    backend="thread"`` is *the same code* as the legacy ``"shard"``
-    backend, not merely equivalent to it. The pool itself belongs to the
-    view (its :meth:`close` handles shutdown), so this runner holds no
-    resources.
+    The pool is created on the first plan with more than one task and
+    ``max_workers > 1``; single-task plans run inline.
     """
 
     name = "thread"
 
+    def __init__(self, max_workers: int):
+        self._max_workers = max(1, max_workers)
+        self._pool: Optional[ThreadPoolExecutor] = None
+
     def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
-        return sharded._run_plan_threaded(plan)
+        from repro.engine.shard import run_shard_task
+
+        shards = sharded.shards
+        pairs = zip(plan.tasks, plan.plans or (None,) * len(plan.tasks))
+        if len(plan.tasks) > 1 and self._max_workers > 1:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._max_workers, thread_name_prefix="repro-shard"
+                )
+            return list(self._pool.map(lambda pair: run_shard_task(shards, *pair), pairs))
+        return [run_shard_task(shards, task, sub) for task, sub in pairs]
+
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+
+class SerialShardRunner(ThreadShardRunner):
+    """Run every shard task inline, in plan order (one worker)."""
+
+    name = "serial"
+
+    def __init__(self) -> None:
+        super().__init__(1)
 
 
 class ProcessShardRunner(ShardRunner):
     """Shard-resident worker processes: one shard, one worker, no GIL.
 
-    Lazily builds up to ``min(K, engine.max_workers)`` single-worker
-    pools; shard ``j`` always routes to pool ``j % npools``, so a shard
-    is rebuilt (or shm-attached) by exactly one resident process no
-    matter how many requests run. Tokens prefer the zero-copy shared
-    memory path (:meth:`SamplingEngine.share`) and fall back to a raw
+    Routes shard ``j`` through a pinned :class:`ProcessSupervisor` of
+    ``min(K, engine.max_workers)`` single-worker pools, so a shard is
+    rebuilt (or shm-attached) by exactly one resident process no matter
+    how many requests run. Tokens prefer the zero-copy shared memory
+    path (:meth:`SamplingEngine.share`) and fall back to a raw
     ``("shard", ...)`` array token for structures without an exporter.
-
-    A dying worker breaks only its own pool: that pool is recycled and
-    the in-flight request gets a :class:`~repro.errors.WorkerCrashedError`
-    (captured into its envelope by the engine) while other shards'
-    residents — and other requests — keep running.
+    A task lost to a dying worker fails only its own request.
     """
 
     name = "process"
@@ -119,13 +261,14 @@ class ProcessShardRunner(ShardRunner):
     def __init__(self, engine: Any, sharded: Any):
         self._engine = engine
         self._sharded = sharded
-        self._npools = max(1, min(len(sharded.shards), engine.max_workers))
-        self._pools: List[Optional[ProcessPoolExecutor]] = [None] * self._npools
+        self._supervisor = ProcessSupervisor(
+            max(1, min(len(sharded.shards), engine.max_workers)),
+            engine._mp_context,
+            pinned=True,
+        )
         self._tokens: List[Optional[Tuple[bytes, Tuple[Any, ...]]]] = [
             None
         ] * len(sharded.shards)
-
-    # -- resident plumbing ---------------------------------------------
 
     def _token_for(self, shard: int) -> Tuple[bytes, Tuple[Any, ...]]:
         memo = self._tokens[shard]
@@ -147,38 +290,12 @@ class ProcessShardRunner(ShardRunner):
             self._tokens[shard] = memo
         return memo
 
-    def _pool_for(self, shard: int) -> Tuple[int, ProcessPoolExecutor]:
-        slot = shard % self._npools
-        pool = self._pools[slot]
-        if pool is None:
-            context = (
-                multiprocessing.get_context(self._engine._mp_context)
-                if self._engine._mp_context is not None
-                else None
-            )
-            pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
-            self._pools[slot] = pool
-        return slot, pool
-
-    def _recycle(self, slot: int) -> None:
-        pool, self._pools[slot] = self._pools[slot], None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    # -- execution ------------------------------------------------------
-
     def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
         from repro.engine.worker import execute_shard_chunk
 
-        enabled = obs.ENABLED
-        trace = obs.current_trace() if enabled else None
-        pending: List[Tuple[Any, int, Any]] = []
-        crash: Optional[WorkerCrashedError] = None
-        failure: Optional[Exception] = None
-        plans = plan.plans or (None,) * len(plan.tasks)
-        for task, sub in zip(plan.tasks, plans):
-            key, token = self._token_for(task.shard)
-            slot, pool = self._pool_for(task.shard)
+        trace = obs.current_trace() if obs.ENABLED else None
+        calls: List[_Call] = []
+        for task, sub in zip(plan.tasks, plan.plans or (None,) * len(plan.tasks)):
             # Ship the parent's shard-local plan as portable data (kind,
             # key, cover hint) — O(log n) ints — so the resident worker
             # skips the cover search and executes the very same plan.
@@ -187,84 +304,28 @@ class ProcessShardRunner(ShardRunner):
                 if sub is not None and getattr(sub, "hint", None) is not None
                 else None
             )
-            draw = [
-                (
-                    task.shard,
-                    task.lo,
-                    task.hi,
-                    task.quota,
-                    task.seed,
-                    trace,
-                    portable,
-                )
-            ]
-            try:
-                future = pool.submit(
-                    execute_shard_chunk,
-                    key,
-                    token,
-                    draw,
-                    harvest=enabled,
-                )
-            except BrokenExecutor:
-                self._recycle(slot)
-                crash = crash or WorkerCrashedError(
-                    f"shard-resident worker for shard {task.shard} died; "
-                    f"its pool was recycled"
-                )
-                continue
-            if enabled:
-                # The per-task pickling cost: the token bytes ride along
-                # (cached worker-side after the first build), the task
-                # itself is five ints — O(log n) per request via shm.
-                _SERIALIZED.add(len(key))
-            pending.append((task, slot, future))
-        partials: Partials = []
-        for task, slot, future in pending:
-            try:
-                rebuilds, outcomes, delta = future.result()
-            except BrokenExecutor:
-                self._recycle(slot)
-                crash = crash or WorkerCrashedError(
-                    f"shard-resident worker for shard {task.shard} died "
-                    f"mid-draw; its pool was recycled"
-                )
-                continue
-            if enabled:
-                self._engine._merge_envelope(rebuilds, delta)
-            status, payload = outcomes[0]
-            if status == "err":
-                failure = failure or payload
-                continue
-            partials.append((task.shard, payload))
-        # Every future is drained before any raise: sibling shards'
-        # residents stay warm and their envelopes are merged even when
-        # one shard fails.
-        if crash is not None:
-            raise crash
-        if failure is not None:
-            raise failure
-        return partials
+            draw = (task.shard, task.lo, task.hi, task.quota, task.seed, trace, portable)
+            calls.append((task.shard, *self._token_for(task.shard), [draw]))
+        outcomes = self._supervisor.run(
+            execute_shard_chunk, calls, lambda _, draw: f"shard {draw[0]}"
+        )
+        # The supervisor drained every future: sibling shards' residents
+        # stay warm and their envelopes are merged even when one fails.
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return [(task.shard, local) for task, local in zip(plan.tasks, outcomes)]
 
     def close(self) -> None:
-        pools, self._pools = self._pools, [None] * self._npools
-        for pool in pools:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+        self._supervisor.close()
         self._tokens = [None] * len(self._tokens)
 
 
-def make_shard_runner(engine: Any, sharded: Any) -> Optional[ShardRunner]:
-    """The runner matching ``engine.execution`` for a sharded view.
-
-    Returns ``None`` for thread execution *when the view's own pool
-    geometry already matches* — binding nothing keeps the view on its
-    built-in threaded path (byte-identical either way; this just avoids
-    an indirection on the legacy alias).
-    """
+def make_shard_runner(engine: Any, sharded: Any) -> ShardRunner:
+    """The runner matching ``engine.execution`` for a sharded view."""
     execution = engine.execution
     if execution == "serial":
         return SerialShardRunner()
     if execution == "process":
         return ProcessShardRunner(engine, sharded)
-    return ThreadShardRunner()
+    return ThreadShardRunner(min(len(sharded.shards), engine.max_workers))

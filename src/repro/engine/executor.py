@@ -22,13 +22,13 @@ list of :class:`~repro.engine.protocol.QueryResult`:
   — profitable when queries spend their time in NumPy batch kernels,
   which drop the GIL; ``"process"`` over persistent worker processes,
   :mod:`repro.engine.worker` — for CPU-bound scalar samplers the GIL
-  serializes). Under the local placement the process backend executes
-  whole requests against worker-resident rebuilds from picklable build
-  tokens; under the sharded placement it keeps **one shard resident
-  per worker** (:mod:`repro.engine.execution`), shipped once via
-  shared memory, with per-request traffic a few ints per shard. Legacy
-  single-string backends remain aliases — ``"shard"`` is
-  ``placement="sharded", backend="thread"``, byte-identical.
+  serializes). Both process combinations run on one
+  :class:`~repro.engine.execution.ProcessSupervisor` and differ only in
+  its routing: under the local placement whole requests go to *any*
+  worker of one shared pool, executing against worker-resident
+  rebuilds from picklable build tokens; under the sharded placement
+  each shard is *pinned* to one resident worker, shipped once via
+  shared memory, with per-request traffic a few ints per shard.
   docs/ARCHITECTURE.md has the placement × execution matrix.
 * **Error capture.** Per-request failures (empty interval, bad ``s``, a
   worker process dying mid-batch) are caught into ``result.error``
@@ -53,11 +53,12 @@ import math
 import multiprocessing
 import os
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.engine.execution import ProcessSupervisor
 from repro.engine.placement import (
     DEFAULT_SHARDS,
     PLACEMENTS,
@@ -71,26 +72,13 @@ from repro.substrates.rng import DEFAULT_SEED, derive_seed, ensure_rng
 
 __all__ = ["BACKENDS", "PLACEMENTS", "SamplingEngine", "spec_token"]
 
-#: Accepted single-string backends (legacy spelling; ``"shard"`` is the
-#: alias for ``placement="sharded", backend="thread"``).
-BACKENDS = ("serial", "thread", "process", "shard")
+#: Accepted execution backends.
+BACKENDS = ("serial", "thread", "process")
 
 _BATCHES = obs.counter("engine.batches", "SamplingEngine.run invocations")
 _REQUESTS = obs.counter("engine.requests", "Requests executed by the engine")
 _ERRORS = obs.counter(
     "engine.request_errors", "Requests whose execution raised (captured)"
-)
-_REBUILDS = obs.counter(
-    "engine.worker_rebuilds",
-    "Sampler rebuilds performed by process-backend workers",
-)
-_SERIALIZED = obs.counter(
-    "engine.serialized_bytes",
-    "Build-token bytes pickled to process-backend workers (per chunk)",
-)
-_HARVESTS = obs.counter(
-    "engine.harvested_chunks",
-    "Worker metric deltas merged into the parent registry",
 )
 _REQUEST_US = obs.histogram(
     "engine.request_us",
@@ -122,8 +110,7 @@ class SamplingEngine:
     ----------
     backend:
         The execution backend: ``"serial"``, ``"thread"``, or
-        ``"process"`` (or the legacy alias ``"shard"``, which is
-        ``placement="sharded", backend="thread"``).
+        ``"process"``.
     placement:
         ``"local"`` (default) or ``"sharded"`` — where requests run
         (:mod:`repro.engine.placement`). ``placement="sharded"``
@@ -192,7 +179,9 @@ class SamplingEngine:
                 )
         self._mp_context = mp_context
         self._errors = errors
-        self._pool: Optional[ProcessPoolExecutor] = None
+        # The local × process route: any worker of one shared pool,
+        # created on the first run_token batch.
+        self._supervisor = ProcessSupervisor(self.max_workers, mp_context)
         # Shared-memory exports this engine owns: id(sampler) -> (sampler,
         # token) memo (the strong ref pins the id), plus the segments to
         # unlink at close().
@@ -258,9 +247,7 @@ class SamplingEngine:
         # shard-resident worker pools), and those workers must exit before
         # the segments they attached are unlinked.
         self._placement.close()
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        self._supervisor.close()
         segments, self._shm_segments = self._shm_segments, []
         self._shm_tokens.clear()
         if segments:
@@ -328,22 +315,9 @@ class SamplingEngine:
                 "or run_token(token, requests) — or compose it with "
                 "placement='sharded', which ships shard sub-draws instead"
             )
-        batch = list(requests)
-        enabled = obs.ENABLED
-        if enabled:
-            _BATCHES.inc()
-            _REQUESTS.add(len(batch))
-        seeds = self.seeds_for(batch)
-        self._assign_traces(batch)
-        if enabled:
-            with obs.span(
-                "engine.run",
-                backend=self.backend,
-                requests=len(batch),
-                sampler=type(sampler).__name__,
-            ):
-                return self._dispatch(sampler, batch, seeds)
-        return self._dispatch(sampler, batch, seeds)
+        return self._run_batch(
+            requests, type(sampler).__name__, lambda jobs: self._dispatch(sampler, jobs)
+        )
 
     def run_spec(
         self, spec: str, params: dict, requests: Iterable[QueryRequest]
@@ -381,24 +355,10 @@ class SamplingEngine:
                 f"process-backend build token must be picklable "
                 f"(rng must be an int seed, params plain data): {exc}"
             ) from exc
-        batch = list(requests)
-        enabled = obs.ENABLED
-        if enabled:
-            _BATCHES.inc()
-            _REQUESTS.add(len(batch))
-        seeds = self.seeds_for(batch)
-        self._assign_traces(batch)
-        jobs = list(zip(batch, seeds))
         spec = str(token[1]) if len(token) > 1 else "?"
-        if enabled:
-            with obs.span(
-                "engine.run",
-                backend=self.backend,
-                requests=len(batch),
-                sampler=spec,
-            ):
-                return self._dispatch_process(key, token, jobs, spec)
-        return self._dispatch_process(key, token, jobs, spec)
+        return self._run_batch(
+            requests, spec, lambda jobs: self._dispatch_process(key, token, jobs, spec)
+        )
 
     def explain(
         self, sampler: Sampler, request: QueryRequest
@@ -461,11 +421,27 @@ class SamplingEngine:
 
     # ------------------------------------------------------------------
 
-    def _dispatch(
+    def _run_batch(
         self,
-        sampler: Sampler,
-        batch: List[QueryRequest],
-        seeds: List[Optional[int]],
+        requests: Iterable[QueryRequest],
+        label: str,
+        dispatch: Callable[[List[Tuple[QueryRequest, Optional[int]]]], List[QueryResult]],
+    ) -> List[QueryResult]:
+        """Seed, trace-stamp and count a batch; ``dispatch`` its jobs."""
+        batch = list(requests)
+        jobs = list(zip(batch, self.seeds_for(batch)))
+        self._assign_traces(batch)
+        if not obs.ENABLED:
+            return dispatch(jobs)
+        _BATCHES.inc()
+        _REQUESTS.add(len(batch))
+        with obs.span(
+            "engine.run", backend=self.backend, requests=len(batch), sampler=label
+        ):
+            return dispatch(jobs)
+
+    def _dispatch(
+        self, sampler: Sampler, jobs: List[Tuple[QueryRequest, Optional[int]]]
     ) -> List[QueryResult]:
         # The placement decides what the requests execute against (the
         # sampler itself, or an engine-owned sharded view with an
@@ -473,7 +449,6 @@ class SamplingEngine:
         # run in submission order and the parallelism lives *inside*
         # each request's shard fan-out.
         sampler = self._placement.view(sampler, self)
-        jobs = list(zip(batch, seeds))
         if (
             self.placement == "local"
             and self.execution == "thread"
@@ -541,37 +516,6 @@ class SamplingEngine:
 
     # -- process backend -----------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            context = (
-                multiprocessing.get_context(self._mp_context)
-                if self._mp_context is not None
-                else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=context
-            )
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _merge_envelope(self, rebuilds: int, delta: Optional[dict]) -> None:
-        """Fold one worker envelope's accounting into the parent registry.
-
-        Called exactly once per successfully returned chunk (phase 1) or
-        retry (phase 2) — crash-safe by construction: a worker that died
-        never returned an envelope, so nothing it half-did is merged,
-        and the retried execution merges its own fresh delta once.
-        """
-        if rebuilds:
-            _REBUILDS.add(rebuilds)
-        if delta is not None:
-            _HARVESTS.inc()
-            obs.merge(delta)
-
     def _dispatch_process(
         self,
         key: bytes,
@@ -579,98 +523,34 @@ class SamplingEngine:
         jobs: List[Tuple[QueryRequest, Optional[int]]],
         spec: str = "?",
     ) -> List[QueryResult]:
-        """Chunked fan-out with crash recovery and metric harvest.
-
-        Phase 1 submits order-preserving chunks to the persistent pool
-        (the token rides along once per chunk; workers cache the built
-        sampler, so residency costs one build per worker). With metrics
-        enabled, each chunk's envelope also carries a registry delta of
-        everything the worker recorded executing it
-        (:mod:`repro.obs.harvest`), merged here exactly once per resolved
-        future. If a worker dies the pool breaks and every unfinished
-        chunk fails; phase 2 then retries each unresolved request
-        individually on a fresh pool, so one crashing request cannot
-        poison its batchmates — the crasher alone ends up with a
-        :class:`~repro.errors.WorkerCrashedError` envelope.
-        """
+        """Order-preserving chunks to any worker of the supervisor's
+        shared pool; a request lost to a dying worker (only the crasher)
+        settles as a :class:`~repro.errors.WorkerCrashedError`."""
         from repro.engine.worker import execute_chunk
 
         enabled = obs.ENABLED
-        results: List[Optional[QueryResult]] = [None] * len(jobs)
-        if jobs:
-            chunk_size = max(1, math.ceil(len(jobs) / (self.max_workers * 4)))
-            pool = self._ensure_pool()
-            submitted = []
-            broke = False
-            for start in range(0, len(jobs), chunk_size):
-                chunk = jobs[start:start + chunk_size]
-                try:
-                    future = pool.submit(
-                        execute_chunk, key, token, chunk, harvest=enabled
-                    )
-                except BrokenExecutor:
-                    broke = True
-                    break
-                if enabled:
-                    # The token pickles to `key`, and rides along once per
-                    # chunk — this is the structure-serialization cost the
-                    # shm tokens keep O(1) in n.
-                    _SERIALIZED.add(len(key))
-                submitted.append((start, chunk, future))
-            for start, chunk, future in submitted:
-                try:
-                    rebuilds, chunk_results, delta = future.result()
-                except BrokenExecutor:
-                    broke = True
-                    continue
-                if enabled:
-                    self._merge_envelope(rebuilds, delta)
-                results[start:start + len(chunk)] = chunk_results
-            if broke:
-                self._discard_pool()
-            # Phase 2: settle every request the broken pool left behind.
-            for index, (request, seed) in enumerate(jobs):
-                if results[index] is not None:
-                    continue
-                pool = self._ensure_pool()
-                try:
-                    if enabled:
-                        _SERIALIZED.add(len(key))
-                    rebuilds, (single,), delta = pool.submit(
-                        execute_chunk, key, token, [(request, seed)],
-                        harvest=enabled,
-                    ).result()
-                    if enabled:
-                        self._merge_envelope(rebuilds, delta)
-                except BrokenExecutor as exc:
-                    self._discard_pool()
-                    single = QueryResult(
-                        request=request,
-                        values=None,
-                        seed=seed,
-                        trace_id=request.trace_id,
-                        error=WorkerCrashedError(
-                            f"process-backend worker died executing request "
-                            f"{index} (op {request.op!r}): {exc!r}"
-                        ),
-                    )
-                    if enabled:
-                        # The worker's own record died with it — log the
-                        # crash envelope parent-side so the flight
-                        # recorder still explains the failure.
-                        obs.RECORDER.record(
-                            trace=request.trace_id,
-                            spec=spec,
-                            op=request.op,
-                            s=request.s,
-                            backend=self.backend,
-                            duration_us=0.0,
-                            error=type(single.error).__name__,
-                        )
-                results[index] = single
+        chunk_size = max(1, math.ceil(len(jobs) / (self.max_workers * 4)))
+        calls = [
+            (0, key, token, jobs[start:start + chunk_size])
+            for start in range(0, len(jobs), chunk_size)
+        ]
+        outcomes = self._supervisor.run(
+            execute_chunk,
+            calls,
+            lambda index, job: f"request {index} (op {job[0].op!r})",
+        )
         out: List[QueryResult] = []
-        for result in results:
-            assert result is not None
+        for (request, seed), result in zip(jobs, outcomes):
+            if isinstance(result, Exception):
+                result = QueryResult(
+                    request=request, values=None, seed=seed,
+                    trace_id=request.trace_id, error=result,
+                )
+                if enabled and isinstance(result.error, WorkerCrashedError):
+                    # The worker's own record died with it — log the
+                    # crash envelope parent-side so the flight recorder
+                    # still explains the failure.
+                    self._record_result(result, spec)
             if result.error is not None:
                 if self._errors == "raise":
                     raise result.error

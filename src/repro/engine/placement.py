@@ -23,10 +23,6 @@ regardless of worker count or scheduling — is enforced at the placement
 layer, once, for every execution backend. ``merge_indices`` dispatches
 through the ``scalar → numpy → jit`` kernel ladder
 (:func:`repro.core.kernels.offset_concat_batch`).
-
-Legacy backend strings remain valid through :func:`normalize_backend`:
-``"shard"`` is an alias for ``placement="sharded", backend="thread"``
-and produces byte-identical streams (it is the same code path).
 """
 
 from __future__ import annotations
@@ -61,10 +57,6 @@ EXECUTIONS = ("serial", "thread", "process")
 #: Default shard count for the sharded placement when none is given.
 DEFAULT_SHARDS = 4
 
-#: Legacy single-string backends -> (placement, execution). ``"shard"``
-#: historically meant "sharded placement fanned out over threads".
-_BACKEND_ALIASES = {"shard": ("sharded", "thread")}
-
 _PLACEMENT_SHARDS = obs.counter(
     "engine.placement_shards",
     "Shard sub-tasks dispatched by the sharded placement layer",
@@ -75,56 +67,30 @@ _MERGE_US = obs.histogram(
 )
 
 
+def _did_you_mean(value: Any, choices: Sequence[str]) -> str:
+    close = get_close_matches(str(value), choices, n=3)
+    return f" (did you mean {', '.join(repr(c) for c in close)}?)" if close else ""
+
+
 def normalize_backend(
     backend: str, placement: Optional[str] = None
 ) -> Tuple[str, str]:
     """Resolve ``(backend, placement)`` into ``(placement, execution)``.
 
-    ``placement=None`` keeps backward compatibility: plain backends map
-    to the local placement and the legacy ``"shard"`` string aliases to
-    ``("sharded", "thread")``. An explicit placement composes with any
-    of ``serial | thread | process`` (``"shard"`` is rejected there —
-    it *is* a placement, not an execution backend).
+    ``placement=None`` is the local placement. Unknown names raise
+    :class:`ValueError` with a did-you-mean hint.
     """
-    legacy = tuple(EXECUTIONS) + ("shard",)
     if placement is None:
-        if backend in _BACKEND_ALIASES:
-            return _BACKEND_ALIASES[backend]
-        if backend in EXECUTIONS:
-            return "local", backend
-        close = get_close_matches(str(backend), legacy, n=3)
-        hint = (
-            f" (did you mean {', '.join(repr(c) for c in close)}?)"
-            if close
-            else ""
-        )
+        placement = "local"
+    elif placement not in PLACEMENTS:
         raise ValueError(
-            f"unknown backend {backend!r}{hint}; choose from {legacy}"
+            f"unknown placement {placement!r}{_did_you_mean(placement, PLACEMENTS)}; "
+            f"choose from {PLACEMENTS}"
         )
-    if placement not in PLACEMENTS:
-        close = get_close_matches(str(placement), PLACEMENTS, n=3)
-        hint = (
-            f" (did you mean {', '.join(repr(c) for c in close)}?)"
-            if close
-            else ""
-        )
-        raise ValueError(
-            f"unknown placement {placement!r}{hint}; choose from {PLACEMENTS}"
-        )
-    if backend in _BACKEND_ALIASES:
-        alias_placement, execution = _BACKEND_ALIASES[backend]
-        if placement != alias_placement:
-            raise ValueError(
-                f"backend {backend!r} is the legacy alias for "
-                f"placement='sharded'; it cannot run under "
-                f"placement={placement!r} — pick an execution backend "
-                f"from {EXECUTIONS}"
-            )
-        return alias_placement, execution
     if backend not in EXECUTIONS:
         raise ValueError(
-            f"unknown execution backend {backend!r} under "
-            f"placement={placement!r}; choose from {EXECUTIONS}"
+            f"unknown backend {backend!r}{_did_you_mean(backend, EXECUTIONS)}; "
+            f"choose from {EXECUTIONS}"
         )
     return placement, backend
 

@@ -373,7 +373,8 @@ class RangeQueryMixin(EngineSampler):
     ``[x, y]`` fails identically across TreeWalk, Lemma-2, Theorem-3, the
     integer/dynamic/EM variants, and the naive baselines — the same
     :class:`~repro.errors.EmptyQueryError` (a :class:`ValueError`) the
-    native paths raise.
+    native paths raise. A NaN bound, or a pair of bounds that cannot be
+    compared, is a :class:`ValueError` naming the bad bound.
     """
 
     __slots__ = ()
@@ -394,5 +395,14 @@ class RangeQueryMixin(EngineSampler):
                 f"range request args must be (x, y), got {request.args!r}"
             )
         x, y = request.args
-        if x > y:
+        for name, bound in (("x", x), ("y", y)):
+            if bound != bound:
+                raise ValueError(f"range bound {name}={bound!r} is NaN")
+        try:
+            inverted = x > y
+        except TypeError:
+            raise ValueError(
+                f"range bounds are not comparable: x={x!r}, y={y!r}"
+            ) from None
+        if inverted:
             raise EmptyQueryError(f"invalid query interval: x={x!r} > y={y!r}")

@@ -25,13 +25,13 @@ engine protocol for free; only ``sample_span`` is reimplemented as
 :mod:`repro.engine.placement` as pure functions of one stateless 64-bit
 base drawn from the request's stream; this class only *executes* the
 resulting :class:`~repro.engine.protocol.PlacementPlan`. Who executes
-it is pluggable: by default the shard sub-draws fan out over this
-wrapper's own thread pool (the legacy ``"shard"`` backend semantics),
-but an engine can :meth:`bind_runner` any execution backend from
-:mod:`repro.engine.execution` — inline, threads, or shard-resident
-worker processes — and the merged output stays a pure function of
-``(structure, request seed, K)`` because every task already carries its
-derived seed.
+it is pluggable: a view always has one runner bound — by default a
+:class:`~repro.engine.execution.ThreadShardRunner` fanning the shard
+sub-draws out over threads — and an engine can :meth:`bind_runner` any
+execution backend from :mod:`repro.engine.execution` — inline, threads,
+or shard-resident worker processes — and the merged output stays a pure
+function of ``(structure, request seed, K)`` because every task already
+carries its derived seed.
 
 This module is imported lazily (by the executor's sharded placement or
 by user code), never from ``repro.engine``'s ``__init__`` — importing
@@ -42,15 +42,15 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core import kernels
 from repro.core.planner import QueryPlan, plan_scope
 from repro.core.range_sampler import RangeSamplerBase
+from repro.engine.execution import ShardRunner, ThreadShardRunner
 from repro.engine.placement import merge_indices, plan_fan_out
-from repro.engine.protocol import PlacementPlan, ShardTask
+from repro.engine.protocol import ShardTask
 from repro.errors import EmptyQueryError
 from repro.substrates.rng import RNGLike, ensure_rng, spawn_rng
 
@@ -155,9 +155,7 @@ class ShardedSampler(RangeSamplerBase):
         self._prefix: List[float] = prefix
         self._rng = ensure_rng(rng)
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        self._max_workers = max(1, min(len(self.shards), workers))
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._runner: Optional[Any] = None
+        self._runner: ShardRunner = ThreadShardRunner(min(len(self.shards), workers))
         self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
 
     # -- construction ------------------------------------------------------
@@ -187,7 +185,7 @@ class ShardedSampler(RangeSamplerBase):
         if not cls.supports(sampler):
             raise TypeError(
                 f"{type(sampler).__name__} does not support key-space "
-                f"sharding; the shard backend needs a sorted-key range "
+                f"sharding; the sharded placement needs a sorted-key range "
                 f"structure (e.g. range.chunked, range.treewalk)"
             )
         if not isinstance(num_shards, int) or isinstance(num_shards, bool):
@@ -253,25 +251,19 @@ class ShardedSampler(RangeSamplerBase):
             shard.space_words() for shard in self.shards
         )
 
-    def bind_runner(self, runner: Optional[Any]) -> None:
+    def bind_runner(self, runner: ShardRunner) -> None:
         """Route plan execution through ``runner`` (an execution backend).
 
-        ``None`` restores the default: fan out over this wrapper's own
-        thread pool, the legacy ``"shard"`` backend semantics. The bound
-        runner is owned by this view — :meth:`close` closes it.
+        The bound runner is owned by this view — :meth:`close` closes
+        it, and binding a new one closes the previous one.
         """
         previous, self._runner = self._runner, runner
-        if previous is not None and previous is not runner:
+        if previous is not runner:
             previous.close()
 
     def close(self) -> None:
-        """Shut down the shard worker pool and bound runner (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        runner, self._runner = self._runner, None
-        if runner is not None:
-            runner.close()
+        """Release the bound runner's pools (idempotent; they reopen lazily)."""
+        self._runner.close()
 
     def __enter__(self) -> "ShardedSampler":
         return self
@@ -304,16 +296,6 @@ class ShardedSampler(RangeSamplerBase):
                 continue
             active.append((j, a - bounds[j], b - bounds[j], weight))
         return active
-
-    def _shard_pool(self) -> Optional[ThreadPoolExecutor]:
-        if self._max_workers < 2:
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-shard",
-            )
-        return self._pool
 
     def sample_span(self, lo: int, hi: int, s: int, rng: RNGLike = None) -> List[int]:
         """Split ``s`` multinomially over shards, fan out, merge.
@@ -373,20 +355,17 @@ class ShardedSampler(RangeSamplerBase):
         # order bit-for-bit.
         base = generator.getrandbits(64)
         enabled = obs.ENABLED
-        plan = self.plan_cache.get((lo, hi))
-        if plan is None:
-            if enabled:
-                with obs.span("plan.build", kind=self.plan_kind, span=hi - lo):
-                    plan = self._build_plan(lo, hi)
-            else:
-                plan = self._build_plan(lo, hi)
-            self.plan_cache.put((lo, hi), plan)
-            if enabled:
-                _PLAN_BUILDS.inc()
-        elif enabled:
-            _PLAN_REUSE.inc()
+        built = False
+
+        def build(hint: Any) -> QueryPlan:
+            nonlocal built
+            built = True
+            return self._build_plan(lo, hi)
+
+        plan = self.plan_cache.fetch((lo, hi), build)
         active, sub_plans = plan.payload
         if enabled:
+            (_PLAN_BUILDS if built else _PLAN_REUSE).inc()
             _SHARDS.add(len(active))
             if span is not None:
                 span.set(shards=len(active))
@@ -396,25 +375,5 @@ class ShardedSampler(RangeSamplerBase):
                 f"{self.num_shards} shards"
             )
         placement_plan = plan_fan_out(active, s, base, sub_plans=sub_plans)
-        if self._runner is not None:
-            partials = self._runner.run_plan(self, placement_plan)
-        else:
-            partials = self._run_plan_threaded(placement_plan)
+        partials = self._runner.run_plan(self, placement_plan)
         return merge_indices(partials, self._bounds)
-
-    def _run_plan_threaded(self, plan: PlacementPlan) -> List[Tuple[int, List[int]]]:
-        """Default execution: fan the plan out over this wrapper's pool."""
-        tasks = plan.tasks
-        plans = plan.plans or (None,) * len(tasks)
-        pool = self._shard_pool() if len(tasks) > 1 else None
-        if pool is not None:
-            return list(
-                pool.map(
-                    lambda pair: run_shard_task(self.shards, pair[0], pair[1]),
-                    zip(tasks, plans),
-                )
-            )
-        return [
-            run_shard_task(self.shards, task, sub)
-            for task, sub in zip(tasks, plans)
-        ]

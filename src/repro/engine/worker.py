@@ -1,4 +1,4 @@
-"""Worker side of the engine's ``"process"`` backend.
+"""Worker side of the engine's process backends.
 
 Workers rebuild samplers from picklable *build tokens* once and keep
 them resident in a module-level cache, so a batch of R requests costs R
@@ -27,17 +27,20 @@ Token shapes (first element is the kind):
   exporter; the preferred path ships the shard as an ``("shm", ...)``
   token instead.
 
-Shard-resident execution (:func:`execute_shard_chunk`) is the composed
-``sharded × process`` backend's worker half: one shard lives in exactly
-one resident worker, and each call executes that shard's slice of
-placement plans — ``(lo, hi, quota, seed)`` sub-draws, a few ints each —
-so per-request bytes stay O(log n) end to end.
+Two entry points share one skeleton (resident lookup/build, harvest
+bracket, trace context, flight record) and differ only in how one item
+executes: :func:`execute_chunk` runs whole ``(request, seed)`` jobs (the
+local × process backend), :func:`execute_shard_chunk` runs shard
+sub-draws — ``(lo, hi, quota, seed)``, a few ints each — on the one
+worker where that shard is resident (the composed ``sharded × process``
+backend), so per-request bytes stay O(log n) end to end.
 
 Every execution error is captured *in the worker* into the result
 envelope, so one bad request cannot poison the pool; only a worker that
 dies outright (``os._exit``, OOM-kill) surfaces as a broken-pool error,
-which the parent converts into per-request
-:class:`~repro.errors.WorkerCrashedError` envelopes.
+which the parent's :class:`~repro.engine.execution.ProcessSupervisor`
+converts into per-item :class:`~repro.errors.WorkerCrashedError`
+outcomes.
 
 **Metric harvest** (``harvest=True``, set by the parent iff its metrics
 are enabled): the worker enables its own registry, brackets the chunk
@@ -54,7 +57,7 @@ from __future__ import annotations
 import importlib
 import pickle
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.engine.protocol import QueryRequest, QueryResult
@@ -111,20 +114,20 @@ def _picklable_error(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def execute_chunk(
+def _serve(
     key: bytes,
     token: Tuple[Any, ...],
-    jobs: List[Tuple[QueryRequest, Optional[int]]],
-    harvest: bool = False,
-) -> Tuple[int, List[QueryResult], Optional[dict]]:
-    """Execute a chunk of ``(request, seed)`` jobs on the resident sampler.
+    items: List[Any],
+    harvest: bool,
+    describe: Callable[[Any], Tuple[Optional[str], str, int, str]],
+    run_one: Callable[[Any, Any], Any],
+) -> Tuple[int, List[Any], Optional[dict]]:
+    """The skeleton both entry points share: resident lookup/build,
+    harvest bracket, per-item trace context and flight record.
 
-    Returns ``(rebuilds, results, delta)`` where ``rebuilds`` is 1 when
-    this call had to (re)build the sampler — the parent feeds it into the
-    ``engine.worker_rebuilds`` counter — and ``delta`` is the harvest
-    payload of everything this chunk recorded in the worker registry
-    (``None`` unless ``harvest``). Results are order-preserving and every
-    failure is captured into the per-request envelope.
+    ``describe(item)`` gives ``(trace_id, op, s, spec_suffix)`` and
+    ``run_one(sampler, item)`` executes one item; an item that raised
+    has its (picklable) exception as its outcome.
     """
     base: Optional[dict] = None
     if harvest:
@@ -139,51 +142,82 @@ def execute_chunk(
         base = harvest_mod.baseline()
     rebuilds = 0
     sampler = _RESIDENT.get(key)
-    results: List[QueryResult] = []
-    for request, seed in jobs:
-        trace_token = (
-            obs.set_current_trace(request.trace_id) if harvest else None
-        )
+    outcomes: List[Any] = []
+    for item in items:
+        trace_id, op, s, suffix = describe(item)
+        trace_token = obs.set_current_trace(trace_id) if harvest else None
+        started = time.perf_counter()
+        error: Optional[Exception] = None
         try:
             if sampler is None:
                 with obs.span("worker.build", kind=str(token[0])):
                     sampler = build_from_token(token)
                 _RESIDENT[key] = sampler
                 rebuilds = 1
-            with obs.span("worker.execute", op=request.op):
-                result = sampler.execute(
-                    request, rng=None if seed is None else ensure_rng(seed)
-                )
-            result.seed = seed
+            outcomes.append(run_one(sampler, item))
         except Exception as exc:
-            result = QueryResult(
-                request=request,
-                values=None,
-                seed=seed,
-                trace_id=request.trace_id,
-                error=_picklable_error(exc),
-            )
+            error = _picklable_error(exc)
+            outcomes.append(error)
         finally:
             if trace_token is not None:
                 obs.reset_current_trace(trace_token)
         if harvest:
             obs.RECORDER.record(
-                trace=request.trace_id,
-                spec=_spec_label(token),
-                op=request.op,
-                s=request.s,
+                trace=trace_id,
+                spec=_spec_label(token) + suffix,
+                op=op,
+                s=s,
                 backend="process",
-                duration_us=(result.elapsed_s or 0.0) * 1e6,
-                error=(
-                    type(result.error).__name__
-                    if result.error is not None
-                    else None
-                ),
+                duration_us=(time.perf_counter() - started) * 1e6,
+                error=type(error).__name__ if error is not None else None,
             )
-        results.append(result)
     if harvest:
-        return rebuilds, results, harvest_mod.delta_since(base)
-    return rebuilds, results, None
+        return rebuilds, outcomes, harvest_mod.delta_since(base)
+    return rebuilds, outcomes, None
+
+
+def _run_request(sampler: Any, job: Tuple[QueryRequest, Optional[int]]) -> QueryResult:
+    request, seed = job
+    with obs.span("worker.execute", op=request.op):
+        result = sampler.execute(request, rng=None if seed is None else ensure_rng(seed))
+    result.seed = seed
+    return result
+
+
+def execute_chunk(
+    key: bytes,
+    token: Tuple[Any, ...],
+    jobs: List[Tuple[QueryRequest, Optional[int]]],
+    harvest: bool = False,
+) -> Tuple[int, List[Any], Optional[dict]]:
+    """Execute a chunk of ``(request, seed)`` jobs on the resident sampler.
+
+    Returns ``(rebuilds, outcomes, delta)`` where ``rebuilds`` is 1 when
+    this call had to (re)build the sampler — the parent feeds it into the
+    ``engine.worker_rebuilds`` counter — and ``delta`` is the harvest
+    payload of everything this chunk recorded in the worker registry
+    (``None`` unless ``harvest``). Outcomes are order-preserving: a
+    :class:`~repro.engine.protocol.QueryResult` per executed request, or
+    the captured exception of a request that failed.
+    """
+    return _serve(
+        key,
+        token,
+        jobs,
+        harvest,
+        lambda job: (job[0].trace_id, job[0].op, job[0].s, ""),
+        _run_request,
+    )
+
+
+def _run_shard_draw(sampler: Any, draw: Tuple[Any, ...]) -> List[int]:
+    shard, lo, hi, quota, seed = draw[:5]
+    portable = draw[6] if len(draw) > 6 else None
+    with obs.span("worker.shard_draw", s=quota, shard=shard):
+        if portable is not None and getattr(sampler, "plan_kind", None):
+            plan = sampler.plan_span(lo, hi, portable=portable)
+            return sampler.execute_plan(plan, quota, rng=ensure_rng(seed))
+        return sampler.sample_span(lo, hi, quota, rng=ensure_rng(seed))
 
 
 def execute_shard_chunk(
@@ -191,7 +225,7 @@ def execute_shard_chunk(
     token: Tuple[Any, ...],
     draws: List[Tuple[Any, ...]],
     harvest: bool = False,
-) -> Tuple[int, List[Tuple[str, Any]], Optional[dict]]:
+) -> Tuple[int, List[Any], Optional[dict]]:
     """Execute shard sub-draws on this worker's resident shard.
 
     ``draws`` entries are ``(shard, lo, hi, quota, seed, trace_id)`` —
@@ -205,64 +239,21 @@ def execute_shard_chunk(
     byte-identical to the ``sample_span`` path. All entries must target
     the shard this worker's ``token`` rebuilds (the parent routes one
     shard per resident worker). Returns ``(rebuilds, outcomes, delta)``
-    where each outcome is ``("ok", local_indices)`` or
-    ``("err", exception)`` — failures are captured per sub-draw so one
-    bad span cannot poison the shard's batchmates. With ``harvest`` on,
+    where each outcome is the sub-draw's local indices or its captured
+    exception — failures are captured per sub-draw so one bad span
+    cannot poison the shard's batchmates. With ``harvest`` on,
     each sub-draw lands in the flight recorder tagged with its shard id
     (``spec`` suffix ``#s<j>``), so per-shard timelines fall out of the
     normal obs tail.
     """
-    base: Optional[dict] = None
-    if harvest:
-        from repro.obs import harvest as harvest_mod
-
-        obs.enable()
-        base = harvest_mod.baseline()
-    rebuilds = 0
-    sampler = _RESIDENT.get(key)
-    outcomes: List[Tuple[str, Any]] = []
-    for entry in draws:
-        shard, lo, hi, quota, seed, trace_id = entry[:6]
-        portable = entry[6] if len(entry) > 6 else None
-        trace_token = obs.set_current_trace(trace_id) if harvest else None
-        started = time.perf_counter()
-        error: Optional[Exception] = None
-        try:
-            if sampler is None:
-                with obs.span("worker.build", kind=str(token[0])):
-                    sampler = build_from_token(token)
-                _RESIDENT[key] = sampler
-                rebuilds = 1
-            with obs.span("worker.shard_draw", s=quota, shard=shard):
-                if portable is not None and getattr(sampler, "plan_kind", None):
-                    plan = sampler.plan_span(lo, hi, portable=portable)
-                    local = sampler.execute_plan(
-                        plan, quota, rng=ensure_rng(seed)
-                    )
-                else:
-                    local = sampler.sample_span(
-                        lo, hi, quota, rng=ensure_rng(seed)
-                    )
-            outcomes.append(("ok", local))
-        except Exception as exc:
-            error = _picklable_error(exc)
-            outcomes.append(("err", error))
-        finally:
-            if trace_token is not None:
-                obs.reset_current_trace(trace_token)
-        if harvest:
-            obs.RECORDER.record(
-                trace=trace_id,
-                spec=f"{_spec_label(token)}#s{shard}",
-                op="sample_span",
-                s=quota,
-                backend="process",
-                duration_us=(time.perf_counter() - started) * 1e6,
-                error=type(error).__name__ if error is not None else None,
-            )
-    if harvest:
-        return rebuilds, outcomes, harvest_mod.delta_since(base)
-    return rebuilds, outcomes, None
+    return _serve(
+        key,
+        token,
+        draws,
+        harvest,
+        lambda draw: (draw[5], "sample_span", draw[3], f"#s{draw[0]}"),
+        _run_shard_draw,
+    )
 
 
 def _spec_label(token: Tuple[Any, ...]) -> str:

@@ -1,4 +1,8 @@
-"""QueryPlanCache semantics and its integration into the range samplers.
+"""Plan-cache semantics and their integration into the range samplers.
+
+A sampler's ``plan_cache`` is a :class:`~repro.core.planner.PlanScope`
+over a :class:`~repro.core.planner.PlanStore`; the mechanics tests use a
+scope over a private store of a given capacity.
 
 Three concerns, in order of subtlety:
 
@@ -19,10 +23,11 @@ import random
 import pytest
 
 from repro.core import kernels
-from repro.core.plan_cache import (
+from repro.core.planner import (
     DEFAULT_CAPACITY,
     ENV_CAPACITY,
-    QueryPlanCache,
+    PlanScope,
+    PlanStore,
     resolve_capacity,
 )
 from repro.core.range_sampler import (
@@ -38,9 +43,14 @@ from repro.stats.independence import (
 SAMPLERS = [TreeWalkRangeSampler, AliasAugmentedRangeSampler, ChunkedRangeSampler]
 
 
+def private_scope(capacity=None):
+    """A plan scope over its own store of ``capacity`` plans."""
+    return PlanScope(PlanStore(capacity), "test")
+
+
 class TestCacheMechanics:
     def test_lru_eviction_order(self):
-        cache = QueryPlanCache(2)
+        cache = private_scope(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refreshes "a"; "b" is now LRU
@@ -51,7 +61,7 @@ class TestCacheMechanics:
         assert cache.evictions == 1
 
     def test_put_refreshes_existing_key(self):
-        cache = QueryPlanCache(2)
+        cache = private_scope(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # refresh, not insert: no eviction
@@ -61,19 +71,18 @@ class TestCacheMechanics:
         assert cache.get("b") is None
 
     def test_counters(self):
-        cache = QueryPlanCache(4)
+        cache = private_scope(4)
         assert cache.get("x") is None
         cache.put("x", 42)
         assert cache.get("x") == 42
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["evictions"] == 0
-        assert stats["size"] == 1
-        assert stats["capacity"] == 4
+        assert cache.hits == 1
+        assert cache.misses == 1
+        assert cache.evictions == 0
+        assert len(cache) == 1
+        assert cache.capacity == 4
 
     def test_clear_keeps_counters(self):
-        cache = QueryPlanCache(4)
+        cache = private_scope(4)
         cache.put("x", 1)
         cache.get("x")
         cache.clear()
@@ -81,7 +90,7 @@ class TestCacheMechanics:
         assert cache.hits == 1
 
     def test_capacity_zero_disables(self):
-        cache = QueryPlanCache(0)
+        cache = private_scope(0)
         assert not cache.enabled
         cache.put("x", 1)
         assert cache.get("x") is None
@@ -91,7 +100,7 @@ class TestCacheMechanics:
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            QueryPlanCache(-1)
+            private_scope(-1)
 
     def test_registry_counters_mirror_instance_counters(self):
         from repro import obs
@@ -100,7 +109,7 @@ class TestCacheMechanics:
         obs.enable()
         obs.reset()
         try:
-            cache = QueryPlanCache(2)
+            cache = private_scope(2)
             cache.get("x")  # miss
             cache.put("x", 1)
             cache.get("x")  # hit
@@ -119,13 +128,13 @@ class TestCacheMechanics:
         saved = obs.ENABLED
         obs.disable()
         try:
-            cache = QueryPlanCache(2)
+            cache = private_scope(2)
             cache.get("x")
             cache.put("x", 1)
             cache.get("x")
-            # The per-instance shim still tallies with the registry off...
-            assert cache.stats()["hits"] == 1
-            assert cache.stats()["misses"] == 1
+            # The per-instance tallies still record with the registry off...
+            assert cache.hits == 1
+            assert cache.misses == 1
             # ...while the registry stays untouched.
             assert obs.value("plan_cache.hits") == 0
         finally:
@@ -144,14 +153,14 @@ class TestCapacityResolution:
     def test_env_knob(self, monkeypatch):
         monkeypatch.setenv(ENV_CAPACITY, "7")
         assert resolve_capacity() == 7
-        assert QueryPlanCache().capacity == 7
+        assert private_scope().capacity == 7
 
     def test_env_zero_disables(self, monkeypatch):
         monkeypatch.setenv(ENV_CAPACITY, "0")
         sampler = TreeWalkRangeSampler([1.0, 2.0, 3.0], rng=1)
         sampler.sample_span(0, 3, 2)
         assert not sampler.plan_cache.enabled
-        assert sampler.plan_cache.stats()["size"] == 0
+        assert len(sampler.plan_cache) == 0
 
     def test_blank_env_ignored(self, monkeypatch):
         monkeypatch.setenv(ENV_CAPACITY, "  ")
@@ -167,7 +176,7 @@ class TestCapacityResolution:
         with pytest.raises(ValueError):
             resolve_capacity()
         with pytest.raises(ValueError):
-            QueryPlanCache()
+            private_scope()
 
 
 @pytest.mark.parametrize("sampler_cls", SAMPLERS)
@@ -184,19 +193,19 @@ class TestSamplerIntegration:
         sampler = self.build(sampler_cls, rng=3)
         for _ in range(5):
             sampler.sample_span(7, 61, 4)
-        stats = sampler.plan_cache.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 4
-        assert stats["size"] == 1
+        cache = sampler.plan_cache
+        assert cache.misses == 1
+        assert cache.hits == 4
+        assert len(cache) == 1
 
     def test_distinct_spans_fill_and_evict(self, sampler_cls):
         sampler = self.build(sampler_cls, rng=4, plan_cache_size=3)
         for lo in range(6):
             sampler.sample_span(lo, lo + 30, 2)
-        stats = sampler.plan_cache.stats()
-        assert stats["misses"] == 6
-        assert stats["size"] == 3
-        assert stats["evictions"] == 3
+        cache = sampler.plan_cache
+        assert cache.misses == 6
+        assert len(cache) == 3
+        assert cache.evictions == 3
 
     def test_warm_run_byte_identical_to_cold_run(self, sampler_cls):
         spans = [(3, 77), (10, 40), (3, 77), (50, 96), (3, 77), (10, 40)]

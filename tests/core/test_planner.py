@@ -7,16 +7,14 @@ Four concerns:
 2. **Store sharing** — one engine-scoped ``PlanStore`` serves many
    samplers, keyed by structure fingerprint, without any cross-talk
    between structures; the LRU bound is a shared budget.
-3. **Scope/counter agreement** — the per-instance tallies (the
-   deprecation-safe alias for the retired ``stats()`` shim) must agree
+3. **Scope/counter agreement** — the per-instance tallies must agree
    with the obs registry's ``plan_cache.*`` counters and their per-kind
    twins whenever metrics are on.
-4. **Deprecation** — ``stats()`` warns but keeps returning the shim
-   dict, unchanged in shape.
+4. **The plan-fetch routine** — ``PlanScope.fetch`` builds once per key,
+   passes a matching portable hint to the build, and drops a foreign one.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -186,23 +184,6 @@ class TestShimCounterAgreement:
             obs.reset()
             (obs.enable if saved else obs.disable)()
 
-    def test_stats_shim_agrees_and_warns(self):
-        store = PlanStore(4)
-        scope = PlanScope(store, "treewalk")
-        scope.get((0, 1))
-        scope.put((0, 1), "x")
-        scope.get((0, 1))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            stats = scope.stats()
-        assert stats == {
-            "hits": scope.hits,
-            "misses": scope.misses,
-            "evictions": scope.evictions,
-            "size": len(scope),
-            "capacity": scope.capacity,
-        }
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
     def test_scope_tallies_record_with_metrics_off(self):
         saved = obs.ENABLED
         obs.disable()
@@ -216,19 +197,45 @@ class TestShimCounterAgreement:
         finally:
             (obs.enable if saved else obs.disable)()
 
-    def test_sampler_stats_route_matches_legacy_shape(self):
-        """The retired per-instance shim and the new scope report the
-        same dict shape through ``sampler.plan_cache.stats()``."""
-        sampler = TreeWalkRangeSampler(
-            [float(i) for i in range(32)], rng=5, plan_cache_size=4
-        )
-        sampler.sample_span(3, 29, 2)
-        sampler.sample_span(3, 29, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            stats = sampler.plan_cache.stats()
-        assert set(stats) == {"hits", "misses", "evictions", "size", "capacity"}
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 1
-        assert stats["capacity"] == 4
+
+class TestFetch:
+    def test_builds_once_then_serves_the_stored_plan(self):
+        scope = PlanScope(PlanStore(4), "treewalk")
+        hints = []
+
+        def build(hint):
+            hints.append(hint)
+            return ("plan", len(hints))
+
+        assert scope.fetch((0, 5), build) == ("plan", 1)
+        assert scope.fetch((0, 5), build) == ("plan", 1)
+        assert hints == [None]
+        assert scope.hits == 1 and scope.misses == 1
+
+    def test_matching_hint_reaches_the_build_foreign_hint_does_not(self):
+        scope = PlanScope(PlanStore(4), "treewalk")
+        seen = []
+        scope.fetch((0, 5), seen.append, portable=("treewalk", (0, 5), (1, 2)))
+        scope.fetch((1, 5), seen.append, portable=("chunked", (1, 5), (3,)))
+        scope.fetch((2, 5), seen.append, portable=("treewalk", (2, 6), (4,)))
+        assert seen == [(1, 2), None, None]
+
+    def test_disabled_store_builds_every_time(self):
+        scope = PlanScope(PlanStore(0), "treewalk")
+        built = []
+        for _ in range(3):
+            scope.fetch((0, 5), lambda hint: built.append(hint) or "p")
+        assert len(built) == 3
+        assert scope.misses == 0 and len(scope) == 0
+
+    def test_build_runs_inside_a_plan_build_span(self):
+        saved = obs.ENABLED
+        obs.enable()
+        obs.reset()
+        try:
+            PlanScope(PlanStore(4), "treewalk").fetch((0, 5), lambda hint: "p")
+            hists = obs.REGISTRY.snapshot()["histograms"]
+            assert hists["span.plan.build.us"]["count"] == 1
+        finally:
+            obs.reset()
+            (obs.enable if saved else obs.disable)()

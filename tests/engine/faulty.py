@@ -70,6 +70,8 @@ class FaultyRangeSampler(RangeSamplerBase):
     keep succeeding on their intact residents. The class is importable
     by dotted path (this module, not a ``test_*`` file) because the
     runner's fallback ``("shard", ...)`` token rebuilds it worker-side.
+    With metrics enabled every completed shard draw increments the same
+    ``faulty.draws`` probe as :class:`FaultySampler`.
     """
 
     DIE_BELOW = 10.0
@@ -90,6 +92,10 @@ class FaultyRangeSampler(RangeSamplerBase):
             os._exit(17)
         rng = self._rng if rng is None else rng
         width = hi - lo
+        if obs.ENABLED:
+            obs.counter(
+                "faulty.draws", "Completed FaultySampler ok-draws"
+            ).inc()
         return [
             lo + min(int(rng.random() * width), width - 1) for _ in range(s)
         ]

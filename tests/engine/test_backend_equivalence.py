@@ -16,8 +16,8 @@ a fixed seed, so the suite is deterministic and flake-free.
 
 Tier 3 (composed placement): the placement × execution refactor promises
 that ``placement="sharded"`` composed with *any* execution backend —
-inline, threads, or shard-resident worker processes — produces output
-byte-identical to the legacy ``"shard"`` backend at every shard count,
+inline, threads, or shard-resident worker processes — produces
+byte-identical output at every shard count,
 because every shard task carries a stateless derived seed. A dying
 shard-resident worker must fail only the requests touching its shard.
 """
@@ -118,7 +118,7 @@ class TestDistributionalTier:
         "backend,placement,shards",
         [
             ("serial", None, None),
-            ("shard", None, 4),
+            ("thread", "sharded", 4),
             ("process", "sharded", 4),
         ],
         ids=["serial", "legacy-shard", "sharded-process"],
@@ -127,7 +127,7 @@ class TestDistributionalTier:
         self, backend, placement, shards
     ):
         # §4.1: the multinomial split preserves the weighted interval
-        # distribution exactly, so serial, the legacy shard backend, and
+        # distribution exactly, so serial, sharded × thread, and
         # the composed shard-per-process backend must all fit it.
         n = 40
         keys = [float(i) for i in range(n)]
@@ -153,7 +153,7 @@ class TestShardApplicability:
     @pytest.mark.parametrize("spec", ["alias", "tree.topdown", "setunion"])
     def test_non_range_specs_reject_shard_backend(self, spec):
         sampler, template = demo_build(spec)
-        engine = SamplingEngine(backend="shard", seed=1, shards=2)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=1, shards=2)
         with pytest.raises(TypeError, match="key-space sharding"):
             engine.run(
                 sampler,
@@ -165,7 +165,7 @@ class TestShardApplicability:
     )
     def test_range_specs_accept_shard_backend(self, spec):
         sampler, template = demo_build(spec)
-        engine = SamplingEngine(backend="shard", seed=9, shards=4)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=9, shards=4)
         results = engine.run(
             sampler,
             [QueryRequest(op=template.op, args=template.args, s=6)] * 8,
@@ -185,7 +185,9 @@ class TestComposedPlacementTier:
     def test_every_execution_matches_the_legacy_shard_stream(self, spec):
         requests = demo_requests(spec, count=8, s=6)
         sampler, _ = demo_build(spec)
-        legacy = SamplingEngine(backend="shard", seed=ENGINE_SEED, shards=4).run(
+        legacy = SamplingEngine(
+            placement="sharded", backend="thread", seed=ENGINE_SEED, shards=4
+        ).run(
             sampler, requests
         )
         assert all(r.ok for r in legacy)

@@ -55,15 +55,17 @@ class TestEngineRun:
     def test_shard_backend_reports_shard_count(self):
         completed = run_cli(
             "engine", "run", "range.chunked",
-            "--requests", "4", "--backend", "shard", "--shards", "4",
+            "--requests", "4", "--placement", "sharded", "--backend", "thread",
+            "--shards", "4",
         )
         assert completed.returncode == 0, completed.stderr[-2000:]
-        assert "backend:  shard" in completed.stdout
+        assert "placement=sharded, execution=thread" in completed.stdout
         assert "shards: 4" in completed.stdout
 
     def test_shard_backend_rejects_non_range_spec(self):
         completed = run_cli(
-            "engine", "run", "alias", "--requests", "2", "--backend", "shard"
+            "engine", "run", "alias", "--requests", "2",
+            "--placement", "sharded", "--backend", "thread",
         )
         assert completed.returncode == 2
         assert "key-space sharding" in completed.stderr

@@ -87,7 +87,7 @@ class TestBackends:
 
     @pytest.mark.parametrize(
         "typo,suggestion",
-        [("thraed", "'thread'"), ("serail", "'serial'"), ("shards", "'shard'")],
+        [("thraed", "'thread'"), ("serail", "'serial'"), ("procss", "'process'")],
     )
     def test_invalid_backend_suggests_close_match(self, typo, suggestion):
         # Same did-you-mean contract as the registry's KeyError.
@@ -96,7 +96,8 @@ class TestBackends:
         message = str(excinfo.value)
         assert "did you mean" in message
         assert suggestion in message
-        assert "'serial', 'thread', 'process', 'shard'" in message
+        assert "'serial', 'thread', 'process'" in message
+        assert "'shard'" not in message
 
     def test_invalid_backend_without_close_match_lists_choices(self):
         with pytest.raises(ValueError) as excinfo:
@@ -151,9 +152,9 @@ class TestErrors:
         with pytest.raises(TypeError):
             SamplingEngine(seed="abc")
         with pytest.raises(ValueError, match="shards must be"):
-            SamplingEngine(backend="shard", shards=0)
+            SamplingEngine(placement="sharded", backend="thread", shards=0)
         with pytest.raises(ValueError, match="shards must be"):
-            SamplingEngine(backend="shard", shards=2.0)
+            SamplingEngine(placement="sharded", backend="thread", shards=2.0)
 
 
 class TestRunSpec:

@@ -2,8 +2,8 @@
 
 The contracts under test (repro.engine.placement):
 
-* ``normalize_backend`` maps every legacy backend string onto the
-  placement × execution matrix (``"shard"`` aliases sharded+thread) and
+* ``normalize_backend`` maps every backend string onto the
+  placement × execution matrix and
   rejects nonsense with did-you-mean hints;
 * the §4.1 primitives are pure functions of the request's stateless
   base: the split runs on ``derive_seed(base, 0)``, shard ``j`` draws on
@@ -11,7 +11,8 @@ The contracts under test (repro.engine.placement):
   no split stream at all;
 * ``merge_indices`` is a deterministic shard-order merge that dispatches
   through the scalar → numpy → jit kernel ladder;
-* the legacy ``"shard"`` backend and every composed
+* a caller-built sharded view on its default thread runner (what the
+  retired ``"shard"`` backend ran) and every composed
   ``placement="sharded"`` execution produce byte-identical engine
   output.
 """
@@ -61,7 +62,6 @@ class TestNormalizeBackend:
             ("serial", ("local", "serial")),
             ("thread", ("local", "thread")),
             ("process", ("local", "process")),
-            ("shard", ("sharded", "thread")),
         ],
     )
     def test_legacy_strings_map_onto_the_matrix(self, backend, expected):
@@ -74,12 +74,11 @@ class TestNormalizeBackend:
     ):
         assert normalize_backend(execution, placement) == (placement, execution)
 
-    def test_shard_alias_accepts_its_own_placement(self):
-        assert normalize_backend("shard", "sharded") == ("sharded", "thread")
-
     def test_shard_alias_rejects_local_placement(self):
-        with pytest.raises(ValueError, match="legacy alias"):
-            normalize_backend("shard", "local")
+        # The retired "shard" alias is an unknown backend everywhere.
+        for placement in (None, "local", "sharded"):
+            with pytest.raises(ValueError, match="unknown backend 'shard'"):
+                normalize_backend("shard", placement)
 
     def test_unknown_backend_offers_suggestions(self):
         with pytest.raises(ValueError, match="did you mean.*'serial'"):
@@ -90,12 +89,12 @@ class TestNormalizeBackend:
             normalize_backend("thread", "shardedd")
 
     def test_unknown_execution_under_placement(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
+        with pytest.raises(ValueError, match="unknown backend 'quantum'"):
             normalize_backend("quantum", "sharded")
 
     def test_matrix_constants_exported(self):
         assert PLACEMENTS == ("local", "sharded")
-        assert BACKENDS == ("serial", "thread", "process", "shard")
+        assert BACKENDS == ("serial", "thread", "process")
 
     def test_make_placement_kinds(self):
         assert isinstance(make_placement("local"), LocalPlacement)
@@ -184,7 +183,7 @@ class TestMergeIndices:
 
 class TestEngineComposition:
     def test_engine_exposes_placement_and_execution(self):
-        engine = SamplingEngine(backend="shard", seed=1)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=1)
         assert (engine.placement, engine.execution) == ("sharded", "thread")
         composed = SamplingEngine(
             placement="sharded", backend="serial", seed=1
@@ -194,9 +193,13 @@ class TestEngineComposition:
         assert (local.placement, local.execution) == ("local", "thread")
 
     def test_legacy_shard_alias_is_byte_identical(self):
+        from repro.engine.shard import ShardedSampler
+
         requests = make_requests()
-        legacy = SamplingEngine(backend="shard", seed=11, shards=4).run(
-            make_sampler(), requests
+        # A pre-sharded view keeps its own default thread runner: what
+        # the retired "shard" backend string used to run.
+        legacy = SamplingEngine(seed=11).run(
+            ShardedSampler.from_sampler(make_sampler(), 4), requests
         )
         composed = SamplingEngine(
             placement="sharded", backend="thread", seed=11, shards=4

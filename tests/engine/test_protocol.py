@@ -109,3 +109,38 @@ class TestExecuteSemantics:
         )
         assert result.ok
         assert len(result.unwrap()) == 3
+
+
+class TestHostileRangeBounds:
+    """NaN and non-comparable bounds fail at the validation boundary.
+
+    Before the check, ``(nan, nan)`` sampled the whole key set,
+    ``(nan, 10)`` acted like ``(-inf, 10)`` and ``(1, "a")`` leaked a raw
+    ``TypeError`` from ``>``. Every range spec, local or sharded, now
+    captures the same :class:`ValueError` naming the bad bound.
+    """
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("placement", ["local", "sharded"])
+    @pytest.mark.parametrize(
+        "spec", ["range.lemma2", "range.chunked", "range.treewalk", "range.naive"]
+    )
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            ((NAN, NAN), "x=nan"),
+            ((NAN, 10.0), "x=nan"),
+            ((1.0, NAN), "y=nan"),
+            ((1, "a"), "y='a'"),
+        ],
+        ids=["nan-nan", "nan-10", "1-nan", "1-str"],
+    )
+    def test_rejected_with_the_same_error_everywhere(self, spec, placement, args, named):
+        from repro.engine import SamplingEngine
+
+        request = QueryRequest(op="sample", args=args, s=3)
+        with SamplingEngine(placement=placement, backend="serial", seed=1, shards=2) as engine:
+            [result] = engine.run(make(spec), [request])
+        assert type(result.error) is ValueError
+        assert named in str(result.error)

@@ -1,4 +1,4 @@
-"""Shard backend: seeded reproducibility, partitioning, edge cases, obs."""
+"""Sharded placement on threads: seeded reproducibility, partitioning, edge cases, obs."""
 
 import pytest
 
@@ -23,7 +23,7 @@ def make_requests(count=24, s=6):
 
 def run_shard(shards, max_workers, seed=17, sampler_rng=1, requests=None):
     engine = SamplingEngine(
-        backend="shard", seed=seed, shards=shards, max_workers=max_workers
+        placement="sharded", backend="thread", seed=seed, shards=shards, max_workers=max_workers
     )
     return engine.run(make_sampler(rng=sampler_rng), requests or make_requests())
 
@@ -62,7 +62,7 @@ class TestSeededReproducibility:
             assert all(x <= value <= y for value in result.unwrap())
 
     def test_repeated_runs_are_identical(self):
-        engine = SamplingEngine(backend="shard", seed=5, shards=4)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=5, shards=4)
         sampler = make_sampler()
         requests = make_requests(count=8)
         assert [r.values for r in engine.run(sampler, requests)] == [
@@ -112,7 +112,7 @@ class TestEdgeCases:
         [serial] = SamplingEngine(backend="serial", seed=1).run(
             make_sampler(), bad
         )
-        [sharded] = SamplingEngine(backend="shard", seed=1, shards=4).run(
+        [sharded] = SamplingEngine(placement="sharded", backend="thread", seed=1, shards=4).run(
             make_sampler(), bad
         )
         assert not serial.ok and not sharded.ok
@@ -120,7 +120,7 @@ class TestEdgeCases:
 
     def test_inverted_interval_is_captured_like_serial(self):
         bad = [QueryRequest(op="sample", args=(100.0, 10.0), s=4)]
-        [result] = SamplingEngine(backend="shard", seed=1, shards=4).run(
+        [result] = SamplingEngine(placement="sharded", backend="thread", seed=1, shards=4).run(
             make_sampler(), bad
         )
         assert not result.ok
@@ -130,20 +130,20 @@ class TestEdgeCases:
         alias = build(
             "alias", items=[1.0, 2.0, 3.0], weights=[1.0, 1.0, 2.0], rng=1
         )
-        engine = SamplingEngine(backend="shard", seed=1, shards=2)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=1, shards=2)
         with pytest.raises(TypeError, match="does not support key-space"):
             engine.run(alias, [QueryRequest(op="sample", s=2)])
 
     def test_shard_count_validation(self):
         with pytest.raises(ValueError, match="shards must be"):
-            SamplingEngine(backend="shard", shards=0)
+            SamplingEngine(placement="sharded", backend="thread", shards=0)
         with pytest.raises(ValueError, match="num_shards must be >= 1"):
             ShardedSampler.from_sampler(make_sampler(), 0)
         with pytest.raises(TypeError, match="num_shards must be an int"):
             ShardedSampler.from_sampler(make_sampler(), 2.5)
 
     def test_view_is_memoized_on_the_engine_not_the_sampler(self):
-        engine = SamplingEngine(backend="shard", seed=1, shards=4)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=1, shards=4)
         sampler = make_sampler()
         engine.run(sampler, make_requests(count=2))
         views = engine._placement._views
@@ -157,24 +157,40 @@ class TestEdgeCases:
         assert not hasattr(sampler, "_engine_shard_views")
 
     def test_close_shuts_down_cached_views_deterministically(self):
-        engine = SamplingEngine(backend="shard", seed=1, shards=4, max_workers=4)
+        engine = SamplingEngine(
+            placement="sharded", backend="thread", seed=1, shards=4, max_workers=4
+        )
         sampler = make_sampler()
         engine.run(sampler, make_requests(count=2))
         (_, view), = engine._placement._views.values()
-        view._shard_pool()  # force the fan-out pool into existence
-        assert view._pool is not None
+        runner = view._runner
+        assert runner._pool is not None  # the multi-shard fan-out made it
         engine.close()
         assert engine._placement._views == {}
-        assert view._pool is None  # ShardedSampler.close() ran
+        assert runner._pool is None  # ShardedSampler.close() ran
         # close is idempotent and the engine stays usable for a new run
         engine.close()
         engine.run(sampler, make_requests(count=1))
         engine.close()
 
 
+    def test_serial_execution_is_the_thread_runner_with_no_pool(self):
+        from repro.engine.execution import SerialShardRunner, ThreadShardRunner
+
+        engine = SamplingEngine(
+            placement="sharded", backend="serial", seed=1, shards=4, max_workers=4
+        )
+        engine.run(make_sampler(), make_requests(count=4))
+        (_, view), = engine._placement._views.values()
+        assert isinstance(view._runner, SerialShardRunner)
+        assert isinstance(view._runner, ThreadShardRunner)
+        assert view._runner._pool is None  # every task ran inline
+        engine.close()
+
+
 class TestObservability:
     def test_shard_counters_and_merge_histogram(self, metrics_on):
-        SamplingEngine(backend="shard", seed=1, shards=4).run(
+        SamplingEngine(placement="sharded", backend="thread", seed=1, shards=4).run(
             make_sampler(), make_requests(count=6, s=8)
         )
         snap = metrics_on.snapshot()
