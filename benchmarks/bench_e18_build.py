@@ -1,7 +1,7 @@
 """E18 — PR 2: vectorized structure construction.
 
 Regenerates the construction side of the EXPERIMENTS.md E1c/E3c rows:
-how long it takes to *build* each sampling structure, scalar fallback
+how long it takes to *build* each sampling structure, forced scalar loops
 vs the flat/packed numpy builders, plus the warm-plan-cache query column
 for the repeated-range workload.
 

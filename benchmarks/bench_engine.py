@@ -17,6 +17,7 @@ runs.
 """
 
 import os
+import sys
 import time
 
 import pytest
@@ -123,10 +124,12 @@ def test_shard_scaling_stays_deterministic(sampler, requests):
 def test_process_speedup_on_gil_bound_scalar_sampler():
     """Acceptance: ≥ 2x over serial on a scalar treewalk, n=1e5, s=1e4.
 
-    The treewalk's per-draw root-to-leaf descent is pure Python when the
-    numpy kernels are disabled, so the thread backend cannot help (the
-    GIL serializes it) while the process backend parallelizes across
-    cores. Needs enough cores for 2x to be reachable.
+    The treewalk's per-draw root-to-leaf descent is pure Python once the
+    kernels' size cutoffs are raised past ``s``, so the thread backend
+    cannot help (the GIL serializes it) while the process backend
+    parallelizes across cores. The pool forks after the cutoffs are
+    raised, so its workers inherit them. Needs enough cores for 2x to be
+    reachable.
     """
     if (os.cpu_count() or 1) < 3:
         pytest.skip("needs >= 3 cores for a meaningful 2x process speedup")
@@ -139,9 +142,9 @@ def test_process_speedup_on_gil_bound_scalar_sampler():
     requests = [
         QueryRequest(op="sample", args=(0.0, float(n)), s=s) for _ in range(8)
     ]
-    saved = kernels.HAVE_NUMPY
-    kernels.HAVE_NUMPY = False  # force the GIL-bound scalar hot loops
-    os.environ["REPRO_DISABLE_NUMPY"] = "1"  # workers forked later follow
+    saved = kernels.BATCH_MIN_SIZE, kernels.BUILD_MIN_SIZE
+    # Force the GIL-bound scalar hot loops; forked workers inherit this.
+    kernels.BATCH_MIN_SIZE = kernels.BUILD_MIN_SIZE = sys.maxsize
     try:
         sampler = build("range.treewalk", **params)
         serial_engine = SamplingEngine(backend="serial", seed=7)
@@ -150,14 +153,15 @@ def test_process_speedup_on_gil_bound_scalar_sampler():
         serial_engine.run(sampler, requests)
         serial_s = time.perf_counter() - started
         token = spec_token("range.treewalk", params)
-        with SamplingEngine(backend="process", seed=7, max_workers=4) as engine:
+        with SamplingEngine(
+            backend="process", seed=7, max_workers=4, mp_context="fork"
+        ) as engine:
             engine.run_token(token, requests)  # fork + resident builds
             started = time.perf_counter()
             engine.run_token(token, requests)
             process_s = time.perf_counter() - started
     finally:
-        kernels.HAVE_NUMPY = saved
-        os.environ.pop("REPRO_DISABLE_NUMPY", None)
+        kernels.BATCH_MIN_SIZE, kernels.BUILD_MIN_SIZE = saved
     assert process_s * 2.0 <= serial_s, (
         f"process backend {process_s:.3f}s vs serial {serial_s:.3f}s "
         f"— expected >= 2x speedup"

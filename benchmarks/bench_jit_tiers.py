@@ -14,9 +14,8 @@ produced by ``benchmarks/bench7_report.py``, not this file.
 
 import time
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core import kernels, kernels_jit
 from repro.substrates.env import env_flag

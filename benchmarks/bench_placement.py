@@ -14,6 +14,7 @@ suite, but it is a standalone script (no ``bench_*`` functions, so
 pytest collects nothing from it). Run::
 
     python benchmarks/bench_placement.py --out BENCH_9.json [--quick]
+    python benchmarks/bench_placement.py --gate --scalar-loops --out BENCH_9_scalar.json
 
 ``--gate`` additionally enforces the scale-out budget — the composed
 ``sharded × process`` backend must beat ``sharded × thread`` by at least
@@ -22,6 +23,11 @@ gate only makes sense where the process pool has real cores to spread
 shards over, so it is enforced only when ``os.cpu_count() >=
 GATE_MIN_CORES``; below that the report records ``enforced: false`` and
 the run always succeeds (the ratio is still measured and exported).
+The budget is set for GIL-bound pure-Python draws, so the gate runs with
+``--scalar-loops``: it raises the kernels' size cutoffs past any input
+before the pools fork, and every execution then runs the scalar
+reference loops. On the numpy tier the draws release the GIL and
+``sharded × thread`` is the faster cell.
 
 Schema::
 
@@ -30,7 +36,7 @@ Schema::
       "spec": "range.chunked",
       "n": ..., "requests": ..., "s": ..., "shards": ...,
       "repeats": ..., "workers": ..., "cpu_count": ...,
-      "byte_identical": true,
+      "scalar_loops": bool, "byte_identical": true,
       "configs": [
         {"placement": "sharded", "execution": "serial"|"thread"|"process",
          "p50_us": ..., "p90_us": ..., "p99_us": ...,
@@ -51,6 +57,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core import kernels  # noqa: E402
 from repro.engine import SamplingEngine  # noqa: E402
 from repro.engine.protocol import QueryRequest  # noqa: E402
 from repro.engine.registry import build  # noqa: E402
@@ -94,7 +101,9 @@ def exact_quantile(sorted_values, q):
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
-def run_execution(execution, keys, weights, batch_template, repeats, shards, workers):
+def run_execution(
+    execution, keys, weights, batch_template, repeats, shards, workers, mp_context
+):
     """Run ``repeats`` seeded batches; return (latencies us, batch s, values)."""
     per_request_us = []
     batch_seconds = []
@@ -106,6 +115,7 @@ def run_execution(execution, keys, weights, batch_template, repeats, shards, wor
         seed=42,
         shards=shards,
         max_workers=workers,
+        mp_context=mp_context,
     ) as engine:
         # Untimed warm batch: pool spin-up, shard export, resident attach.
         engine.run(
@@ -147,7 +157,17 @@ def main(argv=None):
     parser.add_argument(
         "--workers", type=int, default=4, help="pool width (default: 4)"
     )
+    parser.add_argument(
+        "--scalar-loops",
+        action="store_true",
+        help="force the pure-Python draw and build loops at every size "
+        "(the GIL-bound workload the --gate budget is set for)",
+    )
     args = parser.parse_args(argv)
+    mp_context = None
+    if args.scalar_loops:
+        kernels.BATCH_MIN_SIZE = kernels.BUILD_MIN_SIZE = sys.maxsize
+        mp_context = "fork"  # workers inherit the raised cutoffs
 
     if args.quick:
         n, requests, s, repeats = 8_192, 24, 512, 3
@@ -163,7 +183,7 @@ def main(argv=None):
     for execution in EXECUTIONS:
         lat_us, batches, values = run_execution(
             execution, keys, weights, batch_template, repeats,
-            args.shards, args.workers,
+            args.shards, args.workers, mp_context,
         )
         lat_us.sort()
         streams[execution] = values
@@ -221,6 +241,7 @@ def main(argv=None):
         "repeats": repeats,
         "workers": args.workers,
         "cpu_count": cores,
+        "scalar_loops": args.scalar_loops,
         "byte_identical": byte_identical,
         "configs": rows,
         "gate": {

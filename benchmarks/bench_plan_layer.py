@@ -23,11 +23,16 @@ pytest collects nothing from it). Run::
 
     python benchmarks/bench_plan_layer.py --out BENCH_10.json [--quick] [--gate]
 
+``--scalar-loops`` raises the kernels' size cutoffs past any input, so
+every build and draw runs the pure-Python reference loops; the warm-path
+gate then checks the plan layer against the slower scalar execute.
+
 Schema::
 
     {
       "workload": "plan_layer",
       "n": ..., "s": ..., "iters": ..., "cpu_count": ...,
+      "scalar_loops": bool,
       "plan_latency": [
         {"kind": ..., "cold_build_us": ..., "warm_fetch_us": ...,
          "speedup": ...}, ...
@@ -58,6 +63,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import obs  # noqa: E402
+from repro.core import kernels  # noqa: E402
 from repro.core.range_sampler import (  # noqa: E402
     AliasAugmentedRangeSampler,
     ChunkedRangeSampler,
@@ -200,7 +206,14 @@ def main(argv=None):
         help=f"fail when the warm-path plan-fetch overhead exceeds "
         f"{GATE_OVERHEAD:.0%} for any plan kind",
     )
+    parser.add_argument(
+        "--scalar-loops",
+        action="store_true",
+        help="force the pure-Python draw and build loops at every size",
+    )
     args = parser.parse_args(argv)
+    if args.scalar_loops:
+        kernels.BATCH_MIN_SIZE = kernels.BUILD_MIN_SIZE = sys.maxsize
 
     if args.quick:
         n, s, iters, requests = 8_192, 256, 300, 16
@@ -287,6 +300,7 @@ def main(argv=None):
         "s": s,
         "iters": iters,
         "cpu_count": os.cpu_count() or 1,
+        "scalar_loops": args.scalar_loops,
         "plan_latency": plan_latency,
         "warm_path": warm_path,
         "sharded": sharded,

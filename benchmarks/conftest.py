@@ -39,23 +39,17 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture(params=["scalar", "batch"])
-def batch_mode(request):
+def batch_mode(request, monkeypatch):
     """Run a benchmark under both sampling paths for A/B comparison.
 
-    ``scalar`` forces the pure-Python loops (the seed behaviour);
-    ``batch`` keeps the numpy kernel dispatch (skipped when numpy is
-    unavailable). EXPERIMENTS.md records the measured ratio.
+    ``scalar`` raises the kernels' size cutoffs past any input, forcing
+    the pure-Python draw and build loops (the seed behaviour); ``batch``
+    keeps the size-selected numpy dispatch. EXPERIMENTS.md records the
+    measured ratio.
     """
     from repro.core import kernels
 
     if request.param == "scalar":
-        saved = kernels.HAVE_NUMPY
-        kernels.HAVE_NUMPY = False
-        try:
-            yield "scalar"
-        finally:
-            kernels.HAVE_NUMPY = saved
-    else:
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy unavailable — no batch path to measure")
-        yield "batch"
+        monkeypatch.setattr(kernels, "BATCH_MIN_SIZE", sys.maxsize)
+        monkeypatch.setattr(kernels, "BUILD_MIN_SIZE", sys.maxsize)
+    return request.param

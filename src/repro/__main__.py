@@ -151,7 +151,7 @@ def _engine_run(
 ) -> int:
     from time import perf_counter
 
-    from repro.core import kernels
+    from repro.core import kernels, kernels_jit
     from repro.engine import QueryRequest, SamplingEngine, demo_build
 
     if repeat < 1:
@@ -163,12 +163,12 @@ def _engine_run(
     if jit is False:
         kernels.HAVE_JIT = False
     elif jit is True:
-        if kernels._HAVE_NUMBA:
+        if kernels_jit.HAVE_NUMBA:
             kernels.HAVE_JIT = True
         else:
             print(
                 "warning: --jit requested but numba is not installed; "
-                "continuing on the numpy/scalar tiers",
+                "continuing on the numpy tier",
                 file=sys.stderr,
             )
 
@@ -250,10 +250,7 @@ def _engine_run(
         f"execution={engine.execution})  seed: {seed}  "
         f"requests: {requests}  s: {s}{extra}"
     )
-    print(
-        f"kernels:  jit={'on' if kernels.HAVE_JIT else 'off'}  "
-        f"numpy={'on' if kernels.HAVE_NUMPY else 'off'}"
-    )
+    print(f"kernels:  jit={'on' if kernels.HAVE_JIT else 'off'}")
     elapsed = sum(r.elapsed_s or 0.0 for r in results)
     print(f"executed: {len(results)} requests in {elapsed:.4f}s sampler time")
     if warmup or repeat > 1:

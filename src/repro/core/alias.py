@@ -54,7 +54,7 @@ def build_alias_tables(weights: Sequence[float]) -> AliasTables:
     drift under catastrophic cancellation even for millions of weights
     spanning many orders of magnitude. The numpy fast path lives in
     :func:`repro.core.kernels.build_alias_tables_batch`; this function is
-    the authoritative scalar fallback.
+    the authoritative scalar reference, used below ``BUILD_MIN_SIZE``.
     """
     n = len(weights)
     if n == 0:
@@ -182,8 +182,8 @@ class AliasSampler(EngineSampler, Generic[T]):
     def sample_many(self, s: int, *, rng: RNGLike = None) -> List[T]:
         """Draw ``s`` independent weighted samples in O(s).
 
-        Dispatches to the vectorized alias kernel when numpy is available
-        and ``s`` is large enough to amortise the kernel call. ``rng``
+        Dispatches to the vectorized alias kernel when ``s`` is large
+        enough to amortise the kernel call. ``rng``
         overrides the instance stream for this call (engine batching).
         """
         validate_sample_size(s)

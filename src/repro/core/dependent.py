@@ -24,7 +24,7 @@ from repro.engine.protocol import EngineOp, RangeQueryMixin
 from repro.errors import BuildError, EmptyQueryError
 from repro.substrates.minrank_tree import MinRankTree
 from repro.substrates.rng import RNGLike, ensure_rng
-from repro.validation import validate_sample_size
+from repro.validation import validate_range_bounds, validate_sample_size
 
 
 class DependentRangeSampler(RangeQueryMixin):
@@ -73,6 +73,7 @@ class DependentRangeSampler(RangeQueryMixin):
         paper's IQS definition (eq. 1) forbids.
         """
         validate_sample_size(s)
+        validate_range_bounds(x, y)
         hits = self._tree.lowest_ranked_in_range(x, y, s)
         if not hits:
             raise EmptyQueryError(f"no keys in [{x}, {y}]")
@@ -91,6 +92,7 @@ class DependentRangeSampler(RangeQueryMixin):
         still dependent across queries.
         """
         validate_sample_size(s)
+        validate_range_bounds(x, y)
         population = self._count(x, y)
         if population == 0:
             raise EmptyQueryError(f"no keys in [{x}, {y}]")

@@ -27,7 +27,7 @@ from repro.core.planner import QueryPlan
 from repro.engine.protocol import EngineOp, RangeQueryMixin
 from repro.errors import BuildError, EmptyQueryError, InvalidWeightError
 from repro.substrates.rng import RNGLike, ensure_rng
-from repro.validation import validate_sample_size
+from repro.validation import validate_range_bounds, validate_sample_size
 
 K = TypeVar("K")
 
@@ -182,6 +182,7 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
         node's entire subtree, else only the node's own element. O(log n)
         entries, collected along the two boundary search paths.
         """
+        validate_range_bounds(x, y)
         cover: List[Tuple[_Node, bool]] = []
 
         def visit(node: Optional[_Node], lo_open: bool, hi_open: bool) -> None:

@@ -18,7 +18,7 @@ from repro.engine.protocol import EngineOp, RangeQueryMixin
 from repro.errors import BuildError, EmptyQueryError
 from repro.substrates.rng import RNGLike, ensure_rng
 from repro.substrates.yfast import YFastTrie
-from repro.validation import validate_sample_size
+from repro.validation import validate_range_bounds, validate_sample_size
 
 
 class IntegerRangeSampler(RangeQueryMixin):
@@ -57,19 +57,20 @@ class IntegerRangeSampler(RangeQueryMixin):
 
     def span_of(self, x: int, y: int) -> Tuple[int, int]:
         """Index span via two O(log log U) predecessor searches."""
+        validate_range_bounds(x, y)
         return self._trie.span_of(x, y)
 
     def sample(self, x: int, y: int, s: int, *, rng: RNGLike = None) -> List[int]:
         """``s`` independent weighted samples from ``S ∩ [x, y]``."""
         validate_sample_size(s)
-        lo, hi = self._trie.span_of(x, y)
+        lo, hi = self.span_of(x, y)
         if lo >= hi:
             raise EmptyQueryError(f"no keys in [{x}, {y}]")
         return [self._keys[i] for i in self._chunked.sample_span(lo, hi, s, rng=rng)]
 
     def sample_indices(self, x: int, y: int, s: int, *, rng: RNGLike = None) -> List[int]:
         validate_sample_size(s)
-        lo, hi = self._trie.span_of(x, y)
+        lo, hi = self.span_of(x, y)
         if lo >= hi:
             raise EmptyQueryError(f"no keys in [{x}, {y}]")
         return self._chunked.sample_span(lo, hi, s, rng=rng)

@@ -1,4 +1,4 @@
-"""Vectorized batch-sampling kernels (numpy-backed, optional).
+"""Vectorized batch-sampling kernels (numpy-backed).
 
 Every sampler in this package exposes a ``sample_many(s)`` API whose
 theoretical cost is O(1) (alias, Theorem 1) or O(log n) per draw — but the
@@ -10,10 +10,12 @@ instead of ``s`` interpreted loop iterations. This mirrors how
 Afshani–Phillips and Huang–Wang treat batched draws (``s ≫ 1``) as the
 practical unit of work.
 
-numpy is an **optional** dependency (the ``repro[fast]`` extra). When it
-is missing, :data:`HAVE_NUMPY` is ``False``, every dispatch helper reports
-the batch path unavailable, and all samplers silently fall back to their
-original pure-Python scalar loops — the library never hard-imports numpy.
+numpy is a hard dependency. The scalar loops remain, selected by size:
+below :data:`BATCH_MIN_SIZE` draws (or :data:`BUILD_MIN_SIZE` urns for a
+table build) a numpy round-trip costs more than it saves, so the
+dispatch helpers send the request to the pure-Python reference loops.
+Both cutoffs are read at call time; tests raise them to force the scalar
+loops at any size and compare them against the kernels.
 
 Determinism: each sampler owns a ``random.Random``. The batch path derives
 a ``numpy.random.Generator`` from that generator exactly once (consuming
@@ -33,35 +35,19 @@ from __future__ import annotations
 import random
 from typing import Any, List, Sequence, Tuple
 
+import numpy as np
+
+from repro import obs
+from repro.core import kernels_jit
 from repro.substrates.env import env_flag
 
-try:  # pragma: no cover - exercised both ways across environments
-    import numpy as np
+#: Always ``True``: numpy is a hard dependency. Kept because the benchmark
+#: harness reads it to report the kernel tier.
+HAVE_NUMPY = True
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-# Kill switch: force the scalar fallbacks even when numpy is importable.
-# Used by CI to prove the pure-Python paths stay healthy, and available to
-# operators as an emergency lever.
-if env_flag("REPRO_DISABLE_NUMPY"):  # pragma: no cover
-    HAVE_NUMPY = False
-
-try:  # pragma: no cover - exercised both ways across environments
-    from repro.core import kernels_jit
-
-    _HAVE_NUMBA = HAVE_NUMPY and kernels_jit.HAVE_NUMBA
-except ImportError:  # pragma: no cover - kernels_jit hard-imports numpy
-    kernels_jit = None  # type: ignore[assignment]
-    _HAVE_NUMBA = False
-
-#: Whether the compiled (numba) tier is selected by the dispatch ladder.
-#: Requires numpy (the kernels operate on the same arrays), an importable
-#: numba, and the ``REPRO_DISABLE_JIT`` kill switch unset — the same
-#: pattern as :data:`HAVE_NUMPY` / ``REPRO_DISABLE_NUMPY`` one rung down.
-HAVE_JIT = _HAVE_NUMBA and not env_flag("REPRO_DISABLE_JIT")
+#: Whether the compiled (numba) tier is selected by the dispatch ladder:
+#: an importable numba and the ``REPRO_DISABLE_JIT`` kill switch unset.
+HAVE_JIT = kernels_jit.HAVE_NUMBA and not env_flag("REPRO_DISABLE_JIT")
 
 #: Minimum batch size for which the vectorized path is dispatched. Below
 #: this, numpy call overhead can exceed the scalar loop's cost.
@@ -97,11 +83,7 @@ GENERATOR_ATTR = _GEN_ATTR
 
 # Dispatch-ladder counters (repro.obs). "scalar" counts batch requests
 # that fell through to the pure-Python loops; "numpy"/"jit" count batched
-# kernel invocations served by each tier. Importing obs here is safe:
-# repro/__init__ initialises repro.obs before repro.core, and repro.obs's
-# only repro import is the dependency-free substrates.env.
-from repro import obs  # noqa: E402  (after the availability probes above)
-
+# kernel invocations served by each tier.
 _DISPATCH_SCALAR = obs.counter(
     "kernels.dispatch.scalar", "Batch requests served by the scalar loops"
 )
@@ -114,12 +96,9 @@ _DISPATCH_JIT = obs.counter(
 
 
 def use_batch(s: int) -> bool:
-    """True when a request for ``s`` draws should take the numpy path.
-
-    Honours :data:`HAVE_NUMPY` (numpy importable *and* not disabled for
-    testing) and the :data:`BATCH_MIN_SIZE` cutoff.
-    """
-    if HAVE_NUMPY and s >= BATCH_MIN_SIZE:
+    """True when a request for ``s`` draws should take the numpy path,
+    i.e. ``s`` reaches the :data:`BATCH_MIN_SIZE` cutoff."""
+    if s >= BATCH_MIN_SIZE:
         return True
     if obs.ENABLED:
         _DISPATCH_SCALAR.inc()
@@ -130,15 +109,15 @@ def use_jit(s: int) -> bool:
     """True when a batched kernel call of size ``s`` takes the jit tier.
 
     The third rung of the dispatch ladder (scalar → numpy → jit):
-    :data:`HAVE_JIT` (numpy + numba importable, ``REPRO_DISABLE_JIT``
-    unset) and the :data:`JIT_MIN_SIZE` cutoff.
+    :data:`HAVE_JIT` (numba importable, ``REPRO_DISABLE_JIT`` unset) and
+    the :data:`JIT_MIN_SIZE` cutoff.
     """
     return HAVE_JIT and s >= JIT_MIN_SIZE
 
 
 def use_batch_build(n: int) -> bool:
     """True when an ``n``-urn alias table should be built vectorized."""
-    return HAVE_NUMPY and n >= BUILD_MIN_SIZE
+    return n >= BUILD_MIN_SIZE
 
 
 def batch_generator(rng: random.Random) -> "np.random.Generator":

@@ -13,7 +13,7 @@ numba is an **optional** dependency (the ``repro[jit]`` extra).
 :data:`HAVE_NUMBA` reports whether the compiled tier is actually
 available; when numba is missing every public kernel falls back to a
 vectorized numpy twin, so this module stays importable (and testable)
-everywhere the ``[fast]`` tier works. The dispatch ladder in
+everywhere. The dispatch ladder in
 :mod:`repro.core.kernels` (``use_jit``) only *selects* this tier when
 numba is truly present — the fallbacks here exist so the jit algorithms
 themselves can be exercised without a compiler.

@@ -34,7 +34,7 @@ from repro.errors import BuildError, EmptyQueryError
 from repro.substrates.bst import NO_CHILD, StaticBST
 from repro.substrates.fenwick import FenwickTree
 from repro.substrates.rng import RNGLike, ensure_rng
-from repro.validation import validate_sample_size, validate_weights
+from repro.validation import validate_range_bounds, validate_sample_size, validate_weights
 
 # ----------------------------------------------------------------------
 # repro.obs cost accounting: the quantities the §3.2/§4 theorems bound.
@@ -117,7 +117,7 @@ class RangeSamplerBase(RangeQueryMixin):
 
     def _weights_all_equal(self) -> bool:
         w = self.weights
-        if kernels.HAVE_NUMPY and len(w) >= kernels.BUILD_MIN_SIZE:
+        if kernels.use_batch_build(len(w)):
             arr = kernels.np.asarray(w, dtype=kernels.np.float64)
             return bool((arr == arr[0]).all())
         first = w[0]
@@ -128,7 +128,7 @@ class RangeSamplerBase(RangeQueryMixin):
 
     def span_of(self, x: float, y: float) -> Tuple[int, int]:
         """Half-open sorted-index range of keys in ``[x, y]``."""
-        if x > y:
+        if validate_range_bounds(x, y):
             return 0, 0
         return bisect_left(self.keys, x), bisect_right(self.keys, y)
 

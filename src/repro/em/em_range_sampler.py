@@ -38,7 +38,7 @@ from repro.em.model import EMMachine
 from repro.engine.protocol import EngineOp, RangeQueryMixin
 from repro.errors import BuildError, EmptyQueryError
 from repro.substrates.rng import RNGLike, ensure_rng
-from repro.validation import validate_sample_size
+from repro.validation import validate_range_bounds, validate_sample_size
 
 # Shared across the EM samplers (same registry entry is fetched in
 # sample_pool.py), so em.ios_per_query aggregates over whichever §8
@@ -205,6 +205,7 @@ class EMRangeSampler(RangeQueryMixin):
         plan store (it still gets the plan → execute split: planning
         consumes no randomness, execution spends all of it).
         """
+        validate_range_bounds(x, y)
         units = self.tree.canonical_units_weighted(x, y)
         return QueryPlan(
             self.plan_kind,

@@ -45,6 +45,7 @@ from typing import (
 
 from repro.errors import EmptyQueryError
 from repro.substrates.rng import ensure_rng
+from repro.validation import validate_range_bounds
 
 __all__ = [
     "EngineOp",
@@ -395,14 +396,5 @@ class RangeQueryMixin(EngineSampler):
                 f"range request args must be (x, y), got {request.args!r}"
             )
         x, y = request.args
-        for name, bound in (("x", x), ("y", y)):
-            if bound != bound:
-                raise ValueError(f"range bound {name}={bound!r} is NaN")
-        try:
-            inverted = x > y
-        except TypeError:
-            raise ValueError(
-                f"range bounds are not comparable: x={x!r}, y={y!r}"
-            ) from None
-        if inverted:
+        if validate_range_bounds(x, y):
             raise EmptyQueryError(f"invalid query interval: x={x!r} > y={y!r}")

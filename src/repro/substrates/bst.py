@@ -107,7 +107,7 @@ class StaticBST:
         self.root = 0
 
     def _build_level_order(self, n: int) -> None:
-        """Pure-Python BFS build (also the numpy-free fallback)."""
+        """Pure-Python BFS build (used below ``BUILD_MIN_SIZE``)."""
         capacity = 2 * n - 1
         left = [NO_CHILD] * capacity
         right = [NO_CHILD] * capacity

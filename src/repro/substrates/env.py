@@ -2,8 +2,8 @@
 
 Every boolean environment switch in this package funnels through
 :func:`env_flag`, so they all share one truth table. Before this module
-existed, ``REPRO_DISABLE_NUMPY=0`` *disabled* numpy (any non-empty string
-was truthy) while ``REPRO_METRICS=0`` left metrics off — two different
+existed, one kill switch treated ``=0`` as set (any non-empty string was
+truthy) while ``REPRO_METRICS=0`` left metrics off — two different
 parsers for the same kind of knob. The normalized rules:
 
 * unset or ``""`` → the default; ``"0"``, ``"false"``, ``"no"``,
@@ -19,8 +19,8 @@ Integer knobs (``REPRO_PLAN_CACHE_SIZE``) go through :func:`env_int`,
 which raises a uniform ``ValueError`` naming the variable on garbage
 input instead of propagating a bare ``int()`` failure.
 
-This module must stay dependency-free (stdlib only): it is imported by
-:mod:`repro.core.kernels` before numpy availability is even probed.
+This module must stay dependency-free (stdlib only): :mod:`repro.obs`
+imports it before anything else in the package.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Any, List, Sequence
 
 from repro.core import kernels
 from repro.errors import InvalidWeightError
@@ -16,10 +16,10 @@ def validate_weights(weights: Sequence[float], *, context: str = "sampler") -> L
     a zero-weight element can simply be dropped by the caller, and negative
     or non-finite weights make the sampling distribution undefined.
 
-    Large numeric inputs are checked in two vectorized passes when numpy
-    is available; anything numpy cannot coerce — or any input containing
-    an offending weight — falls through to the scalar loop, which raises
-    with the exact index and repr of the first bad entry.
+    Large numeric inputs are checked in two vectorized passes; anything
+    numpy cannot coerce — or any input containing an offending weight —
+    falls through to the scalar loop, which raises with the exact index
+    and repr of the first bad entry.
     """
     n = len(weights)
     if kernels.use_batch_build(n):
@@ -47,6 +47,23 @@ def validate_weights(weights: Sequence[float], *, context: str = "sampler") -> L
             )
         cleaned.append(value)
     return cleaned
+
+
+def validate_range_bounds(x: Any, y: Any) -> bool:
+    """Reject NaN or mutually non-comparable interval bounds.
+
+    Raises :class:`ValueError` naming the bad bound; otherwise returns
+    whether the interval is inverted (``x > y``). A NaN compares false
+    against every key, so without this check it silently widens or
+    empties the interval depending on the search routine.
+    """
+    for name, bound in (("x", x), ("y", y)):
+        if bound != bound:
+            raise ValueError(f"range bound {name}={bound!r} is NaN")
+    try:
+        return bool(x > y)
+    except TypeError:
+        raise ValueError(f"range bounds are not comparable: x={x!r}, y={y!r}") from None
 
 
 def validate_sample_size(s: int) -> int:

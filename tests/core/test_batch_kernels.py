@@ -4,7 +4,7 @@ Three layers of defence, per the kernel layer's contract:
 
 1. **Distributional equivalence** — for every sampler whose
    ``sample_many`` dispatches to a kernel, the batch path and the forced
-   scalar-fallback path are both chi-square-tested against the exact
+   scalar path are both chi-square-tested against the exact
    target distribution (the same machinery the seed suite uses, so a
    kernel that drifts from its scalar twin fails here, not in prod).
 2. **Property tests** — hypothesis drives the kernels through edge cases:
@@ -13,18 +13,17 @@ Three layers of defence, per the kernel layer's contract:
    n=10⁵, s=10⁴ (alias and one range sampler), so the speedup that
    motivated the layer cannot silently regress.
 
-The whole module is skipped when numpy is missing: in that environment
-every sampler already runs the scalar path, which the rest of the suite
-covers.
+The scalar side of every comparison is forced with the ``force_scalar``
+fixture (``tests/conftest.py``), which raises the kernels' size cutoffs.
+The perf smoke is wall-clock and carries the ``timing`` marker, so the
+default run skips it.
 """
 
 import random
 import time
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,16 +44,6 @@ from repro.substrates.bst import StaticBST
 ALPHA = 1e-6
 BATCH_DRAWS = 30_000
 SCALAR_DRAWS = 10_000
-
-
-@pytest.fixture
-def force_scalar(monkeypatch):
-    """Disable the numpy dispatch so samplers take their scalar loops."""
-
-    def _force():
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-
-    return _force
 
 
 def _gen(seed: int = 0) -> "np.random.Generator":
@@ -353,40 +342,38 @@ def _best_of(callable_, repeats=3):
     return best
 
 
-@pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="batch dispatch disabled (REPRO_DISABLE_NUMPY)"
-)
+@pytest.mark.timing
 class TestPerfSmoke:
     N = 100_000
     S = 10_000
 
-    def test_alias_batch_at_least_3x(self, monkeypatch):
+    def test_alias_batch_at_least_3x(self, force_scalar):
         weights = [1.0 + (i % 97) for i in range(self.N)]
         sampler = AliasSampler(list(range(self.N)), weights, rng=81)
         sampler.sample_many(self.S)  # warm the lazy caches
         batch = _best_of(lambda: sampler.sample_many(self.S))
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        force_scalar()
         scalar = _best_of(lambda: sampler.sample_many(self.S))
         assert scalar >= 3.0 * batch, (
             f"alias batch path only {scalar / batch:.2f}x faster "
             f"(scalar {scalar * 1e3:.1f}ms, batch {batch * 1e3:.1f}ms)"
         )
 
-    def test_range_sampler_batch_at_least_3x(self, monkeypatch):
+    def test_range_sampler_batch_at_least_3x(self, force_scalar):
         keys = [float(i) for i in range(self.N)]
         weights = [1.0 + (i % 13) for i in range(self.N)]
         sampler = ChunkedRangeSampler(keys, weights, rng=82)
         x, y = keys[self.N // 10], keys[9 * self.N // 10]
         sampler.sample(x, y, self.S)  # warm the lazy caches
         batch = _best_of(lambda: sampler.sample(x, y, self.S))
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        force_scalar()
         scalar = _best_of(lambda: sampler.sample(x, y, self.S))
         assert scalar >= 3.0 * batch, (
             f"range batch path only {scalar / batch:.2f}x faster "
             f"(scalar {scalar * 1e3:.1f}ms, batch {batch * 1e3:.1f}ms)"
         )
 
-    def test_aliasaugmented_construction_at_least_2x(self, monkeypatch):
+    def test_aliasaugmented_construction_at_least_2x(self, force_scalar):
         # PR-2 construction guard: the flat segmented Vose builder must
         # keep beating the pure-Python per-node build. Typical measured
         # ratio is ~3x at this size (see EXPERIMENTS.md E3c); the
@@ -397,7 +384,7 @@ class TestPerfSmoke:
         keys = [float(i) for i in range(n)]
         weights = [1.0 + (i % 13) for i in range(n)]
         batch = _best_of(lambda: AliasAugmentedRangeSampler(keys, weights, rng=83))
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        force_scalar()
         scalar = _best_of(lambda: AliasAugmentedRangeSampler(keys, weights, rng=83))
         assert scalar >= 2.0 * batch, (
             f"vectorized Lemma-2 construction only {scalar / batch:.2f}x faster "

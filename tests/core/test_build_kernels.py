@@ -16,19 +16,19 @@ The batch sampling kernels have their own harness
    both must accept the common target (near-zero, one-dominant, and
    all-equal weights included, per the PR checklist).
 3. **Structure-level dispatch** — samplers built under the numpy path
-   and under the forced scalar fallback expose per-node tables with
-   identical implied distributions.
+   and under the forced scalar loops expose per-node tables with
+   identical implied distributions, and the ``force_scalar`` hook
+   really reaches the pure-Python builders and draw loops.
 """
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core import kernels
 from repro.core.alias import alias_draw, build_alias_tables
-from repro.core.range_sampler import AliasAugmentedRangeSampler
+from repro.core.range_sampler import AliasAugmentedRangeSampler, ChunkedRangeSampler
 from repro.stats.tests import chi_square_weighted_pvalue
 
 ALPHA = 1e-6
@@ -200,26 +200,25 @@ class TestConstructionEquivalence:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.skipif(
-    not kernels.HAVE_NUMPY,
-    reason="numpy dispatch disabled (REPRO_DISABLE_NUMPY) — no batch path to compare",
-)
 class TestStructureDispatchEquivalence:
     N = 96  # >= BUILD_MIN_SIZE so the numpy build path engages
 
-    def build(self, force_scalar: bool, monkeypatch):
-        if force_scalar:
-            monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+    def build(self):
         rnd = random.Random(17)
         keys = [float(i) for i in range(self.N)]
         weights = [rnd.random() + 1e-3 for _ in range(self.N)]
         return AliasAugmentedRangeSampler(keys, weights), weights
 
-    def test_node_tables_encode_same_distributions(self, monkeypatch):
-        with pytest.MonkeyPatch.context() as scalar_patch:
-            scalar_sampler, weights = self.build(True, scalar_patch)
-        batch_sampler, _ = self.build(False, monkeypatch)
+    def build_both(self, force_scalar):
+        """(numpy-built, scalar-built) samplers over the same weights."""
         assert kernels.use_batch_build(self.N)
+        batch_sampler, weights = self.build()
+        force_scalar()
+        scalar_sampler, _ = self.build()
+        return batch_sampler, scalar_sampler, weights
+
+    def test_node_tables_encode_same_distributions(self, force_scalar):
+        batch_sampler, scalar_sampler, weights = self.build_both(force_scalar)
         tree = batch_sampler._tree
         for node in tree.iter_nodes():
             if tree.is_leaf(node):
@@ -230,8 +229,34 @@ class TestStructureDispatchEquivalence:
                 prob, alias = sampler._node_table(node)
                 assert_encodes(prob, alias, span_weights)
 
-    def test_space_accounting_matches_dispatch_paths(self, monkeypatch):
-        with pytest.MonkeyPatch.context() as scalar_patch:
-            scalar_sampler, _ = self.build(True, scalar_patch)
-        batch_sampler, _ = self.build(False, monkeypatch)
+    def test_space_accounting_matches_dispatch_paths(self, force_scalar):
+        batch_sampler, scalar_sampler, _ = self.build_both(force_scalar)
         assert scalar_sampler.space_words() == batch_sampler.space_words()
+
+
+class TestForcedScalarDispatch:
+    """``force_scalar`` sends large builds and draws to the scalar loops."""
+
+    N = 2048
+
+    def build_and_draw(self):
+        keys = list(range(self.N))
+        lemma2 = AliasAugmentedRangeSampler(keys, rng=1)
+        theorem3 = ChunkedRangeSampler(keys, rng=1)
+        for sampler in (lemma2, theorem3):
+            sampler.sample(10, self.N - 48, 256)
+        return lemma2, theorem3
+
+    def test_numpy_paths_run_by_default(self, metrics_on):
+        lemma2, theorem3 = self.build_and_draw()
+        assert lemma2._flat_tables is not None
+        assert theorem3._np_chunk_matrix is not None
+        assert metrics_on.value("kernels.dispatch.numpy") > 0
+
+    def test_forced_builds_and_draws_take_the_scalar_loops(self, metrics_on, force_scalar):
+        force_scalar()
+        lemma2, theorem3 = self.build_and_draw()
+        assert lemma2._flat_tables is None, "flat builder ran under force_scalar"
+        assert theorem3._np_chunk_matrix is None, "packed builder ran under force_scalar"
+        assert metrics_on.value("kernels.dispatch.numpy") == 0
+        assert metrics_on.value("kernels.dispatch.scalar") >= 2

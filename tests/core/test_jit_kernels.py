@@ -23,11 +23,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro import obs
 from repro.core import kernels, kernels_jit
 from repro.stats.tests import chi_square_weighted_pvalue
 
@@ -43,18 +41,6 @@ def force_jit(monkeypatch):
     which compute the identical streams the compiled loops would.
     """
     monkeypatch.setattr(kernels, "HAVE_JIT", True)
-
-
-@pytest.fixture
-def metrics_on():
-    saved = obs.ENABLED
-    obs.enable()
-    obs.reset()
-    try:
-        yield obs
-    finally:
-        obs.reset()
-        (obs.enable if saved else obs.disable)()
 
 
 def make_tables(n=64, seed=5):

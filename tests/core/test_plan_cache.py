@@ -22,7 +22,6 @@ import random
 
 import pytest
 
-from repro.core import kernels
 from repro.core.planner import (
     DEFAULT_CAPACITY,
     ENV_CAPACITY,
@@ -223,9 +222,9 @@ class TestSamplerIntegration:
         assert sampler.plan_cache.hits == len(spans) - 3  # 3 distinct spans
 
     def test_warm_run_byte_identical_under_scalar_fallback(
-        self, sampler_cls, monkeypatch
+        self, sampler_cls, force_scalar
     ):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        force_scalar()
         self.test_warm_run_byte_identical_to_cold_run(sampler_cls)
 
     def test_warm_cache_outputs_stay_independent(self, sampler_cls):

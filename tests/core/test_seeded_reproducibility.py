@@ -10,7 +10,6 @@ interleavings of the two.
 
 import pytest
 
-from repro.core import kernels
 from repro.core.alias import AliasSampler
 from repro.core.dynamic import BucketDynamicSampler, FenwickDynamicSampler
 from repro.core.range_sampler import (
@@ -21,7 +20,7 @@ from repro.core.range_sampler import (
 from repro.core.set_union import SetUnionSampler
 from repro.core.tree_sampling import FlatTreeSampler, Tree, TreeSampler
 
-BATCH = 64  # above BATCH_MIN_SIZE: takes the kernel path when numpy exists
+BATCH = 64  # above BATCH_MIN_SIZE: takes the kernel path
 SCALAR = 4  # below BATCH_MIN_SIZE: always takes the scalar loop
 
 KEYS = [float(i) for i in range(40)]
@@ -89,20 +88,18 @@ def test_interleaved_calls_reproducible(name):
     assert stream() == stream()
 
 
-def test_scalar_path_unchanged_by_fallback(monkeypatch):
-    """Below the cutoff, the stream is identical with numpy disabled.
+def test_scalar_path_unchanged_by_fallback(force_scalar):
+    """Below the cutoff, the stream is identical with the scalar loops forced.
 
     Guards the dispatch itself: small batches must not consume numpy
-    randomness, or seeds would stop reproducing across environments with
-    and without the [fast] extra.
+    randomness, or a seed's stream would depend on where the cutoffs sit.
     """
     with_numpy = DRIVERS["alias"](SCALAR)
-    monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+    force_scalar()
     without_numpy = DRIVERS["alias"](SCALAR)
     assert with_numpy == without_numpy
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy unavailable")
 def test_batch_generator_derived_once():
     """The numpy generator is cached: repeated batches keep advancing one
     stream instead of re-deriving (which would repeat samples)."""

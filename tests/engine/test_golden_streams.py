@@ -17,15 +17,11 @@ The capture uses only long-stable public entry points (``demo_build``,
 unchanged before and after the refactor — that is what makes the file a
 pre/post byte-identity oracle rather than a self-fulfilling snapshot.
 
-Streams are tier-sensitive only above the batch cutoffs; every capture
-leg keeps ``s`` below ``kernels.BATCH_MIN_SIZE`` so the goldens hold on
-the scalar fallback (``REPRO_DISABLE_NUMPY=1``) too — asserted by the
-CI matrix, which runs this module under both tiers. The one structure
-whose *internal* draws cross the cutoff regardless of the query's ``s``
-(the EM sampler's pool refill splits a full pool multinomially) gets a
-scalar-tier variant captured alongside, stored under a ``@scalar`` leg
-suffix; ``--regen`` discovers such legs automatically by re-running the
-capture in a ``REPRO_DISABLE_NUMPY=1`` subprocess and diffing.
+Every capture leg keeps ``s`` below ``kernels.BATCH_MIN_SIZE``, so the
+query draws run the scalar reference loops. Structures whose internal
+draws cross the cutoff regardless of the query's ``s`` (the EM sampler's
+pool refill splits a full pool multinomially) are pinned on the numpy
+path those refills take.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import kernels
 from repro.engine import QueryRequest, SamplingEngine, demo_build
 from repro.engine.registry import REGISTRY
 
@@ -46,8 +41,7 @@ ENGINE_SEED = 20260807
 #: Explicit per-request seed for the standalone-execute leg.
 DIRECT_SEED = 7
 #: Draws per request — deliberately below kernels.BATCH_MIN_SIZE so the
-#: scalar draw path runs on every tier and the streams stay
-#: tier-independent.
+#: query draws run the scalar reference loops.
 BATCH_S = 5
 DIRECT_S = 8
 #: Requests per batched leg.
@@ -145,36 +139,25 @@ GOLDENS = _load_goldens() if GOLDEN_PATH.exists() else {}
 SPECS = sorted(spec for spec in GOLDENS)
 
 
-def _leg(spec: str, name: str):
-    """The stored leg for this kernel tier (``@scalar`` variant wins
-    when numpy kernels are off and a variant was captured)."""
-    legs = GOLDENS[spec]
-    if not kernels.HAVE_NUMPY:
-        scalar = legs.get(f"{name}@scalar")
-        if scalar is not None:
-            return scalar
-    return legs[name]
-
-
 def test_golden_covers_every_registry_spec():
     assert sorted(entry.key for entry in REGISTRY.specs()) == SPECS
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_serial_stream_matches_golden(spec):
-    assert _run_serial(spec) == _leg(spec, "serial")
+    assert _run_serial(spec) == GOLDENS[spec]["serial"]
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_direct_execute_matches_golden(spec):
-    assert _run_direct(spec) == _leg(spec, "direct")
+    assert _run_direct(spec) == GOLDENS[spec]["direct"]
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_thread_backend_matches_golden(spec):
     # Not a separate stored leg: the thread backend must be
     # byte-identical to serial, so it checks against the same golden.
-    assert _run_thread(spec) == _leg(spec, "serial")
+    assert _run_thread(spec) == GOLDENS[spec]["serial"]
 
 
 @pytest.mark.parametrize(
@@ -187,7 +170,7 @@ def test_thread_backend_matches_golden(spec):
     ],
 )
 def test_sharded_stream_matches_golden(spec, shards):
-    assert _run_sharded(spec, shards) == _leg(spec, f"sharded{shards}")
+    assert _run_sharded(spec, shards) == GOLDENS[spec][f"sharded{shards}"]
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -199,57 +182,28 @@ def test_cache_disabled_stream_matches_golden(spec, monkeypatch):
     query and must still replay the committed streams exactly.
     """
     monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "0")
-    assert _run_serial(spec) == _leg(spec, "serial")
-    assert _run_direct(spec) == _leg(spec, "direct")
+    assert _run_serial(spec) == GOLDENS[spec]["serial"]
+    assert _run_direct(spec) == GOLDENS[spec]["direct"]
     for shards in SHARD_COUNTS:
         if f"sharded{shards}" in GOLDENS[spec]:
-            assert _run_sharded(spec, shards) == _leg(spec, f"sharded{shards}")
+            assert _run_sharded(spec, shards) == GOLDENS[spec][f"sharded{shards}"]
 
 
 def main(argv=None) -> int:  # pragma: no cover - maintenance entry
     import argparse
-    import os
-    import subprocess
-    import sys
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--regen", action="store_true", help="rewrite the golden stream file"
     )
-    parser.add_argument(
-        "--capture-json", action="store_true",
-        help="print this tier's capture as JSON (used by --regen's "
-             "scalar-tier subprocess)",
-    )
     args = parser.parse_args(argv)
-    if args.capture_json:
-        print(json.dumps(capture(), sort_keys=True))
-        return 0
     if not args.regen:
         parser.error("nothing to do (pass --regen)")
-    if not kernels.HAVE_NUMPY:
-        parser.error("--regen must run on the numpy tier (it spawns the "
-                     "scalar capture itself)")
     goldens = capture()
-    env = dict(os.environ, REPRO_DISABLE_NUMPY="1")
-    scalar_out = subprocess.run(
-        [sys.executable, __file__, "--capture-json"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    scalar = json.loads(scalar_out.stdout)
-    variants = 0
-    for spec, legs in scalar.items():
-        for name, values in legs.items():
-            if goldens.get(spec, {}).get(name) != values:
-                goldens[spec][f"{name}@scalar"] = values
-                variants += 1
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
     legs = sum(len(v) for v in goldens.values())
-    print(
-        f"wrote {len(goldens)} specs / {legs} legs "
-        f"({variants} scalar-tier variants) to {GOLDEN_PATH}"
-    )
+    print(f"wrote {len(goldens)} specs / {legs} legs to {GOLDEN_PATH}")
     return 0
 
 

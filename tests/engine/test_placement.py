@@ -163,8 +163,6 @@ class TestMergeIndices:
             assert merge_indices(partials, self.BOUNDS) == expected
 
     def test_merge_dispatch_rides_the_kernel_ladder(self, metrics_on):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("ladder assertions need the numpy tier")
         small = [(0, list(range(4)))]  # total 4 < BATCH_MIN_SIZE: scalar
         numpy_sized = [(j, list(range(20))) for j in range(2)]  # 40 draws
         jit_sized = [(j, list(range(200))) for j in range(2)]  # 400 draws

@@ -12,6 +12,8 @@ import pytest
 from repro.em.em_range_sampler import EMRangeSampler
 from repro.em.model import EMMachine
 from repro.engine import QueryRequest, build
+from repro.engine.demo import demo_build
+from repro.engine.registry import REGISTRY
 from repro.errors import EmptyQueryError
 
 N = 64
@@ -144,3 +146,36 @@ class TestHostileRangeBounds:
             [result] = engine.run(make(spec), [request])
         assert type(result.error) is ValueError
         assert named in str(result.error)
+
+
+class TestNativeHostileRangeBounds:
+    """The same bound contract holds on the native entry points.
+
+    Outside the engine nothing calls ``validate_request``, so before the
+    check ``sampler.sample(nan, nan, s)`` sampled the whole key set and
+    ``sample_without_replacement(nan, nan, s)`` returned ``s`` keys.
+    """
+
+    NAN = float("nan")
+    RANGE_REGISTRY_SPECS = sorted(key for key in REGISTRY if key.startswith("range."))
+    CASES = [
+        (spec, method)
+        for spec in RANGE_REGISTRY_SPECS
+        for method in ("sample", "sample_indices", "sample_without_replacement")
+        if hasattr(REGISTRY.resolve(spec), method)
+    ]
+
+    @pytest.mark.parametrize("spec,method", CASES)
+    @pytest.mark.parametrize(
+        "args",
+        [(NAN, NAN), (NAN, 10.0), (1.0, NAN), (1.0, "a")],
+        ids=["nan-nan", "nan-10", "1-nan", "1-str"],
+    )
+    def test_rejected_with_value_error(self, spec, method, args):
+        sampler, _ = demo_build(spec)
+        with pytest.raises(ValueError, match="NaN|not comparable"):
+            getattr(sampler, method)(*args, 4)
+
+    def test_every_range_spec_is_covered(self):
+        assert len(self.RANGE_REGISTRY_SPECS) == 8
+        assert {spec for spec, _ in self.CASES} == set(self.RANGE_REGISTRY_SPECS)

@@ -18,7 +18,6 @@ from multiprocessing.shared_memory import SharedMemory
 import numpy as np
 import pytest
 
-from repro.core import kernels
 from repro.core.alias import AliasSampler
 from repro.core.range_sampler import (
     AliasAugmentedRangeSampler,
@@ -60,8 +59,6 @@ class TestRoundTrip:
         ],
     )
     def test_attached_draws_are_byte_identical(self, factory, label):
-        if label == "lemma2" and not kernels.HAVE_NUMPY:
-            pytest.skip("lemma2 shares its flat-table (numpy build) form only")
         keys, weights = make_keys_weights()
         original = factory(keys, weights)
         manifest, segments = shm.export_sampler(original)
@@ -100,11 +97,11 @@ class TestRoundTrip:
         with pytest.raises(shm.ShmShareError, match="spec token"):
             shm.export_sampler(build_faulty())
 
-    def test_scalar_built_lemma2_round_trips(self, monkeypatch):
+    def test_scalar_built_lemma2_round_trips(self, force_scalar):
         # A scalar build keeps per-node tables instead of the flat form;
         # the exporter synthesizes the flat arrays so the attached copy
         # still draws byte-identically.
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        force_scalar()
         keys, weights = make_keys_weights(200)
         scalar_form = AliasAugmentedRangeSampler(keys, weights, rng=3)
         assert scalar_form._flat_tables is None
@@ -188,10 +185,7 @@ class TestEngineIntegration:
 
     def test_spawn_start_method(self):
         keys, weights = make_keys_weights(800)
-        if kernels.HAVE_NUMPY:
-            sampler = AliasAugmentedRangeSampler(keys, weights, rng=3)
-        else:  # scalar build: lemma2 has no flat tables, share a treewalk
-            sampler = TreeWalkRangeSampler(keys, weights, rng=3)
+        sampler = AliasAugmentedRangeSampler(keys, weights, rng=3)
         requests = range_requests(keys, count=4, s=8)
         serial = SamplingEngine(backend="serial", seed=7).run(sampler, requests)
         with SamplingEngine(

@@ -31,25 +31,14 @@ def _keys(n):
 
 
 class TestAliasDraws:
-    def test_scalar_path_counts_exact(self, metrics_on):
-        from repro.core import kernels
-
+    def test_scalar_path_counts_exact(self, metrics_on, force_scalar):
         sampler = AliasSampler(list(range(64)), [1.0 + (i % 3) for i in range(64)], rng=7)
-        saved = kernels.HAVE_NUMPY
-        kernels.HAVE_NUMPY = False
-        try:
-            sampler.sample_many(100)
-            sampler.sample()
-        finally:
-            kernels.HAVE_NUMPY = saved
+        force_scalar()
+        sampler.sample_many(100)
+        sampler.sample()
         assert obs.value("alias.draws") == 101
 
     def test_batch_path_counts_exact(self, metrics_on):
-        pytest.importorskip("numpy")
-        from repro.core import kernels
-
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy kernels disabled")
         sampler = AliasSampler(list(range(64)), rng=7)
         sampler.sample_many(5000)
         assert obs.value("alias.draws") == 5000

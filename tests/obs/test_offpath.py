@@ -7,10 +7,14 @@ Three contracts when ``REPRO_METRICS`` is off (the default):
    instrumentation never consumes randomness.
 3. The guard overhead is within 5% of an instrumentation-absent build —
    measured against a hand-inlined twin of the scalar alias loop, the
-   hottest instrumented call site.
+   hottest instrumented call site. This is a wall-clock budget, so it
+   carries the ``timing`` marker and runs outside the default suite
+   (``pytest -m timing``).
 """
 
 import time
+
+import pytest
 
 from repro import obs
 from repro.core.alias import AliasSampler, alias_draw
@@ -104,6 +108,7 @@ def _best_of_interleaved(fn_a, fn_b, repeats=9):
     return best_a, best_b
 
 
+@pytest.mark.timing
 class TestOffPathOverhead:
     """Disabled-metrics sampling within 5% of an instrumentation-absent twin.
 
@@ -116,7 +121,7 @@ class TestOffPathOverhead:
 
     S = 20_000
 
-    def test_disabled_guard_within_five_percent(self, metrics_off):
+    def test_disabled_guard_within_five_percent(self, metrics_off, force_scalar):
         from repro.core import kernels
         from repro.validation import validate_sample_size
 
@@ -132,17 +137,11 @@ class TestOffPathOverhead:
             prob, alias, rng = sampler._prob, sampler._alias, sampler._rng
             return [items[alias_draw(prob, alias, rng)] for _ in range(s)]
 
-        saved = kernels.HAVE_NUMPY
-        kernels.HAVE_NUMPY = False
-        try:
-            # Warm both paths, then measure them alternately.
-            sampler.sample_many(s)
-            twin()
-            instrumented, bare = _best_of_interleaved(
-                lambda: sampler.sample_many(s), twin
-            )
-        finally:
-            kernels.HAVE_NUMPY = saved
+        force_scalar()
+        # Warm both paths, then measure them alternately.
+        sampler.sample_many(s)
+        twin()
+        instrumented, bare = _best_of_interleaved(lambda: sampler.sample_many(s), twin)
         assert instrumented <= bare * 1.05, (
             f"disabled-metrics path {instrumented:.4f}s vs bare twin "
             f"{bare:.4f}s exceeds the 5% off-path budget"
