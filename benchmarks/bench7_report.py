@@ -2,8 +2,7 @@
 
 Times the batched alias-draw kernel on every available dispatch tier
 (scalar, numpy, jit) across an (n, s) grid and writes one JSON document
-CI uploads as an artifact, so tier regressions are diffable across runs
-without parsing pytest-benchmark output.
+CI uploads as an artifact, so tier regressions are diffable across runs.
 
 Named ``bench7_report.py`` (no ``bench_`` prefix) deliberately: it is a
 standalone script, not a pytest-collected benchmark. Run::

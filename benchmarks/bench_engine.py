@@ -7,28 +7,23 @@ the serial backend when every request runs on its own spawned seed;
 hot path drops the GIL in numpy kernels; (3) the process backend lifts
 the GIL off CPU-bound *scalar* samplers entirely (workers keep rebuilt
 samplers resident, so the pool pays one build per worker, not per
-request); (4) the shard backend's §4.1 multinomial split scales with the
-shard count K — the ``engine-shard-scaling`` group records the K ∈
-{1, 2, 4, 8} curve. On runners without enough cores the speedup claims
-are vacuous, so those tests skip themselves there.
-
-``REPRO_BENCH_QUICK=1`` shrinks the GIL-bound speedup workload for smoke
-runs.
+request); (4) the shard backend's §4.1 multinomial split reproduces the
+same engine-seeded batch at every shard count K ∈ {1, 2, 4, 8}. On
+runners without enough cores the speedup claims are vacuous, so those
+tests skip themselves there.
 """
 
 import os
-import sys
 import time
 
 import pytest
 
+from repro.core import kernels
 from repro.engine import QueryRequest, SamplingEngine, build, spec_token
-from repro.substrates.env import env_flag
 
 N = 1 << 14
 BATCH = 1000
 S = 8
-QUICK = env_flag("REPRO_BENCH_QUICK")
 SHARD_COUNTS = (1, 2, 4, 8)
 
 
@@ -48,37 +43,6 @@ def requests():
         )
         for i in range(BATCH)
     ]
-
-
-def bench_engine_serial(benchmark, sampler, requests):
-    engine = SamplingEngine(backend="serial", seed=7)
-    benchmark.group = "engine-backend"
-    benchmark(lambda: engine.run(sampler, requests))
-
-
-def bench_engine_thread(benchmark, sampler, requests):
-    engine = SamplingEngine(backend="thread", seed=7)
-    benchmark.group = "engine-backend"
-    benchmark(lambda: engine.run(sampler, requests))
-
-
-def bench_engine_process(benchmark, requests):
-    keys = [float(i) for i in range(N)]
-    token = spec_token("range.chunked", {"keys": keys, "rng": 1})
-    with SamplingEngine(backend="process", seed=7, max_workers=2) as engine:
-        engine.run_token(token, requests[:8])  # fork workers, build resident
-        benchmark.group = "engine-backend"
-        benchmark(lambda: engine.run_token(token, requests))
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def bench_engine_shard_scaling(benchmark, sampler, requests, shards):
-    """One curve point per K: batched queries through the K-shard view."""
-    engine = SamplingEngine(placement="sharded", backend="thread", seed=7, shards=shards)
-    engine.run(sampler, requests[:8])  # build + memoize the K-shard view
-    benchmark.group = "engine-shard-scaling"
-    benchmark.extra_info["shards"] = shards
-    benchmark(lambda: engine.run(sampler, requests))
 
 
 def test_thread_matches_serial(sampler, requests):
@@ -133,19 +97,15 @@ def test_process_speedup_on_gil_bound_scalar_sampler():
     """
     if (os.cpu_count() or 1) < 3:
         pytest.skip("needs >= 3 cores for a meaningful 2x process speedup")
-    from repro.core import kernels
-
-    n = 10_000 if QUICK else 100_000
-    s = 2_000 if QUICK else 10_000
+    n = 100_000
+    s = 10_000
     keys = [float(i) for i in range(n)]
     params = {"keys": keys, "rng": 1}
     requests = [
         QueryRequest(op="sample", args=(0.0, float(n)), s=s) for _ in range(8)
     ]
-    saved = kernels.BATCH_MIN_SIZE, kernels.BUILD_MIN_SIZE
     # Force the GIL-bound scalar hot loops; forked workers inherit this.
-    kernels.BATCH_MIN_SIZE = kernels.BUILD_MIN_SIZE = sys.maxsize
-    try:
+    with kernels.scalar_loops():
         sampler = build("range.treewalk", **params)
         serial_engine = SamplingEngine(backend="serial", seed=7)
         serial_engine.run(sampler, requests[:1])  # warm plan caches
@@ -160,8 +120,6 @@ def test_process_speedup_on_gil_bound_scalar_sampler():
             started = time.perf_counter()
             engine.run_token(token, requests)
             process_s = time.perf_counter() - started
-    finally:
-        kernels.BATCH_MIN_SIZE, kernels.BUILD_MIN_SIZE = saved
     assert process_s * 2.0 <= serial_s, (
         f"process backend {process_s:.3f}s vs serial {serial_s:.3f}s "
         f"— expected >= 2x speedup"

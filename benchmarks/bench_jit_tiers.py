@@ -1,14 +1,11 @@
-"""Dispatch-ladder tier benches: scalar vs numpy vs compiled (jit).
+"""Dispatch-ladder tier gate: compiled (jit) vs numpy.
 
 The compiled tier's reason to exist is throughput on the batched hot
-loops, so this file records the tier curves for the two draw kernels the
-ladder serves (alias draws, BST top-down walks) and enforces the
-regression gate the tier was merged under: **jit ≥ 3× numpy on alias
-batched draws at n=10⁵, s=10⁴**. Everything jit-specific skips cleanly
-when numba is absent — the numpy and scalar rungs are benched everywhere.
+loops, so this file enforces the regression gate the tier was merged
+under: **jit ≥ 3× numpy on alias batched draws at n=10⁵, s=10⁴**. It
+skips cleanly when numba is absent.
 
-``REPRO_BENCH_QUICK=1`` shrinks workloads for smoke runs. The
-machine-readable tier × n × s matrix CI uploads (``BENCH_7.json``) is
+The machine-readable tier × n × s matrix CI uploads (``BENCH_7.json``) is
 produced by ``benchmarks/bench7_report.py``, not this file.
 """
 
@@ -18,12 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core import kernels, kernels_jit
-from repro.substrates.env import env_flag
 
-QUICK = env_flag("REPRO_BENCH_QUICK")
-
-GATE_N = 10_000 if QUICK else 100_000
-GATE_S = 2_000 if QUICK else 10_000
+GATE_N = 100_000
+GATE_S = 10_000
 GATE_SPEEDUP = 3.0
 
 needs_numba = pytest.mark.skipif(
@@ -46,81 +40,13 @@ def best_of(fn, repeats=5):
     return best
 
 
-# -- recorded tier curves ----------------------------------------------
-
-
-def bench_alias_numpy_tier(benchmark, monkeypatch):
-    prob, alias = make_alias_tables(GATE_N)
-    gen = np.random.default_rng(1)
-    monkeypatch.setattr(kernels, "HAVE_JIT", False)
-    benchmark.group = "jit-tier-alias"
-    benchmark(lambda: kernels.alias_draw_batch(prob, alias, GATE_S, gen))
-
-
-@needs_numba
-def bench_alias_jit_tier(benchmark, monkeypatch):
-    prob, alias = make_alias_tables(GATE_N)
-    gen = np.random.default_rng(1)
-    monkeypatch.setattr(kernels, "HAVE_JIT", True)
-    kernels_jit.warmup()
-    benchmark.group = "jit-tier-alias"
-    benchmark(lambda: kernels.alias_draw_batch(prob, alias, GATE_S, gen))
-
-
-def bench_bst_walk_numpy_tier(benchmark, monkeypatch):
-    from repro.substrates.bst import StaticBST
-
-    n = 4_096 if QUICK else 32_768
-    gen = np.random.default_rng(3)
-    tree = StaticBST([float(i) for i in range(n)], (gen.random(n) + 0.1).tolist())
-    left, right, node_weight, _ = tree.packed_arrays()
-    starts = np.full(GATE_S, tree.root, dtype=np.intp)
-    monkeypatch.setattr(kernels, "HAVE_JIT", False)
-    benchmark.group = "jit-tier-bst"
-    benchmark(
-        lambda: kernels.bst_topdown_batch(
-            np.asarray(left, dtype=np.intp),
-            np.asarray(right, dtype=np.intp),
-            np.asarray(node_weight, dtype=np.float64),
-            starts,
-            np.random.default_rng(1),
-        )
-    )
-
-
-@needs_numba
-def bench_bst_walk_jit_tier(benchmark, monkeypatch):
-    from repro.substrates.bst import StaticBST
-
-    n = 4_096 if QUICK else 32_768
-    gen = np.random.default_rng(3)
-    tree = StaticBST([float(i) for i in range(n)], (gen.random(n) + 0.1).tolist())
-    left, right, node_weight, _ = tree.packed_arrays()
-    starts = np.full(GATE_S, tree.root, dtype=np.intp)
-    monkeypatch.setattr(kernels, "HAVE_JIT", True)
-    kernels_jit.warmup()
-    benchmark.group = "jit-tier-bst"
-    benchmark(
-        lambda: kernels.bst_topdown_batch(
-            np.asarray(left, dtype=np.intp),
-            np.asarray(right, dtype=np.intp),
-            np.asarray(node_weight, dtype=np.float64),
-            starts,
-            np.random.default_rng(1),
-        )
-    )
-
-
-# -- the merge gate ----------------------------------------------------
-
-
 @needs_numba
 def test_jit_gate_alias_3x_over_numpy(monkeypatch):
     """The compiled tier must hold ≥3× over numpy on alias batched draws.
 
     n=10⁵ urns, s=10⁴ draws per call — the workload from the tier's
-    acceptance criteria. Plain assert (not pytest-benchmark) so it runs
-    in the default suite wherever numba is installed.
+    acceptance criteria. A plain timed assert, so it runs wherever numba
+    is installed.
     """
     prob, alias = make_alias_tables(GATE_N)
     gen = np.random.default_rng(1)

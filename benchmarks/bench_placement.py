@@ -9,9 +9,8 @@ is one diffable JSON artifact per CI run. The script also asserts the
 refactor's correctness claim inline: all three executions must return
 byte-identical batches before any timing is reported.
 
-Named with the ``bench_`` prefix to sit beside the pytest-benchmark
-suite, but it is a standalone script (no ``bench_*`` functions, so
-pytest collects nothing from it). Run::
+A standalone script: pytest collects only ``test_*`` functions from
+``bench_*.py`` files, and this one has none. Run::
 
     python benchmarks/bench_placement.py --out BENCH_9.json [--quick]
     python benchmarks/bench_placement.py --gate --scalar-loops --out BENCH_9_scalar.json
@@ -164,11 +163,14 @@ def main(argv=None):
         "(the GIL-bound workload the --gate budget is set for)",
     )
     args = parser.parse_args(argv)
-    mp_context = None
-    if args.scalar_loops:
-        kernels.BATCH_MIN_SIZE = kernels.BUILD_MIN_SIZE = sys.maxsize
-        mp_context = "fork"  # workers inherit the raised cutoffs
+    if not args.scalar_loops:
+        return run(args, mp_context=None)
+    with kernels.scalar_loops():
+        return run(args, mp_context="fork")  # workers inherit the raised cutoffs
 
+
+def run(args, mp_context):
+    """Measure every execution, write the report, return the exit code."""
     if args.quick:
         n, requests, s, repeats = 8_192, 24, 512, 3
     else:

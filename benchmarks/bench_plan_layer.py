@@ -17,9 +17,8 @@ JSON artifact per CI run:
   stays at 1 while ``engine.plan_reuse`` absorbs the rest, and the
   per-request cover computation count collapses to 1/requests.
 
-Named with the ``bench_`` prefix to sit beside the pytest-benchmark
-suite, but it is a standalone script (no ``bench_*`` functions, so
-pytest collects nothing from it). Run::
+A standalone script: pytest collects only ``test_*`` functions from
+``bench_*.py`` files, and this one has none. Run::
 
     python benchmarks/bench_plan_layer.py --out BENCH_10.json [--quick] [--gate]
 
@@ -212,9 +211,14 @@ def main(argv=None):
         help="force the pure-Python draw and build loops at every size",
     )
     args = parser.parse_args(argv)
-    if args.scalar_loops:
-        kernels.BATCH_MIN_SIZE = kernels.BUILD_MIN_SIZE = sys.maxsize
+    if not args.scalar_loops:
+        return run(args)
+    with kernels.scalar_loops():
+        return run(args)
 
+
+def run(args):
+    """Measure the plan layer, write the report, return the exit code."""
     if args.quick:
         n, s, iters, requests = 8_192, 256, 300, 16
     else:

@@ -27,7 +27,6 @@ def _info() -> int:
     print("  python -m repro engine run SPEC [options]     batched demo queries via the engine")
     print("  python -m repro obs [--format F] [--out PATH] metrics snapshot (OBSERVABILITY.md)")
     print("  pytest tests/                                 unit/integration/property suites")
-    print("  pytest benchmarks/ --benchmark-only           pytest-benchmark timings")
     print("  python examples/quickstart.py                 first steps")
     print()
     print(f"Experiments: {', '.join(ALL_EXPERIMENTS)}")

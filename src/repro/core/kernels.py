@@ -14,8 +14,9 @@ numpy is a hard dependency. The scalar loops remain, selected by size:
 below :data:`BATCH_MIN_SIZE` draws (or :data:`BUILD_MIN_SIZE` urns for a
 table build) a numpy round-trip costs more than it saves, so the
 dispatch helpers send the request to the pure-Python reference loops.
-Both cutoffs are read at call time; tests raise them to force the scalar
-loops at any size and compare them against the kernels.
+Both cutoffs are read at call time; :func:`scalar_loops` raises them to
+force the scalar loops at any size, so tests and measurements can compare
+them against the kernels.
 
 Determinism: each sampler owns a ``random.Random``. The batch path derives
 a ``numpy.random.Generator`` from that generator exactly once (consuming
@@ -33,7 +34,9 @@ distribution, not draw-for-draw identical.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Sequence, Tuple
+import sys
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -118,6 +121,23 @@ def use_jit(s: int) -> bool:
 def use_batch_build(n: int) -> bool:
     """True when an ``n``-urn alias table should be built vectorized."""
     return n >= BUILD_MIN_SIZE
+
+
+@contextmanager
+def scalar_loops() -> Iterator[None]:
+    """Send every draw and build inside the block to the scalar loops.
+
+    Raises :data:`BATCH_MIN_SIZE` and :data:`BUILD_MIN_SIZE` past any
+    input and restores both on exit, exception or not. Processes forked
+    inside the block inherit the raised cutoffs.
+    """
+    global BATCH_MIN_SIZE, BUILD_MIN_SIZE
+    saved = BATCH_MIN_SIZE, BUILD_MIN_SIZE
+    BATCH_MIN_SIZE = BUILD_MIN_SIZE = sys.maxsize
+    try:
+        yield
+    finally:
+        BATCH_MIN_SIZE, BUILD_MIN_SIZE = saved
 
 
 def batch_generator(rng: random.Random) -> "np.random.Generator":
@@ -670,6 +690,7 @@ __all__ = [
     "use_batch",
     "use_jit",
     "use_batch_build",
+    "scalar_loops",
     "batch_generator",
     "as_alias_arrays",
     "alias_draw_batch",

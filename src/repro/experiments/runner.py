@@ -90,6 +90,8 @@ ALL_EXPERIMENTS = [
     "e15",
     "e16",
     "e17",
+    "e18",
+    "e19",
 ]
 
 _MODULE_OF = {
@@ -110,6 +112,8 @@ _MODULE_OF = {
     "e15": "repro.experiments.e15_approximate",
     "e16": "repro.experiments.e16_dynamic_range",
     "e17": "repro.experiments.e17_halfplane",
+    "e18": "repro.experiments.e18_kernels",
+    "e19": "repro.experiments.e19_ablations",
 }
 
 

@@ -18,6 +18,8 @@ class TestSampleSize:
         assert required_sample_size(0.1, 0.05) == math.ceil(
             math.log(2 / 0.05) / (2 * 0.01)
         )
+        assert required_sample_size(0.1, 0.01) == 265
+        assert required_sample_size(0.05, 0.01) == 1060
 
     def test_tighter_epsilon_needs_more(self):
         assert required_sample_size(0.01, 0.1) > required_sample_size(0.1, 0.1)

@@ -8,6 +8,7 @@ a fixed seed the outcome never changes between runs anyway.
 
 import random
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
@@ -60,19 +61,17 @@ def metrics_off():
 
 
 @pytest.fixture
-def force_scalar(monkeypatch):
+def force_scalar():
     """A callable that sends every later draw and build to the scalar loops.
 
-    It raises the kernels' size cutoffs (``BATCH_MIN_SIZE`` for draws,
-    ``BUILD_MIN_SIZE`` for table builds) past any input, so the paper's
-    reference loops run at every size until the test ends. Both cutoffs
-    are read at call time, so call it mid-test to compare a sampler's
-    numpy path against its scalar path.
+    It enters :func:`repro.core.kernels.scalar_loops`, which raises the
+    kernels' size cutoffs (``BATCH_MIN_SIZE`` for draws, ``BUILD_MIN_SIZE``
+    for table builds) past any input, so the paper's reference loops run
+    at every size until the test ends. Both cutoffs are read at call
+    time, so call it mid-test to compare a sampler's numpy path against
+    its scalar path.
     """
     from repro.core import kernels
 
-    def _force():
-        monkeypatch.setattr(kernels, "BATCH_MIN_SIZE", sys.maxsize)
-        monkeypatch.setattr(kernels, "BUILD_MIN_SIZE", sys.maxsize)
-
-    return _force
+    with ExitStack() as stack:
+        yield lambda: stack.enter_context(kernels.scalar_loops())

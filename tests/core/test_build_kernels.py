@@ -22,6 +22,7 @@ The batch sampling kernels have their own harness
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -260,3 +261,11 @@ class TestForcedScalarDispatch:
         assert theorem3._np_chunk_matrix is None, "packed builder ran under force_scalar"
         assert metrics_on.value("kernels.dispatch.numpy") == 0
         assert metrics_on.value("kernels.dispatch.scalar") >= 2
+
+    def test_scalar_loops_restores_cutoffs_after_an_exception(self):
+        saved = kernels.BATCH_MIN_SIZE, kernels.BUILD_MIN_SIZE
+        with pytest.raises(RuntimeError):
+            with kernels.scalar_loops():
+                assert kernels.BATCH_MIN_SIZE == kernels.BUILD_MIN_SIZE == sys.maxsize
+                raise RuntimeError("escape the block")
+        assert (kernels.BATCH_MIN_SIZE, kernels.BUILD_MIN_SIZE) == saved

@@ -1,8 +1,8 @@
 """Cheap operation-count checks of the theorems' complexity *shapes*.
 
 Timing is noisy in CI, so these tests count structural work (cover sizes,
-attempts, I/Os) rather than wall-clock — the benchmarks in benchmarks/ do
-the timing.
+attempts, I/Os) rather than wall-clock — ``python -m repro.experiments``
+does the timing.
 """
 
 import math

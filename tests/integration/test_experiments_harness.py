@@ -1,8 +1,11 @@
 """The experiment harness itself must not rot: structure checks on the
 fast experiments in quick mode."""
 
+import json
+
 import pytest
 
+from repro.experiments.__main__ import main
 from repro.experiments.runner import (
     ALL_EXPERIMENTS,
     ExperimentResult,
@@ -12,7 +15,7 @@ from repro.experiments.runner import (
 
 class TestRunner:
     def test_registry_is_complete(self):
-        assert len(ALL_EXPERIMENTS) == 17
+        assert len(ALL_EXPERIMENTS) == 19
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError):
@@ -33,6 +36,14 @@ class TestRunner:
         assert "claim:" in rendered
         assert result.title in rendered
         assert len(rendered.splitlines()) >= 5 + len(result.rows)
+
+
+class TestCli:
+    def test_metrics_out_writes_a_sidecar_per_experiment(self, metrics_on, tmp_path):
+        assert main(["--quick", "e4", "--metrics-out", str(tmp_path)]) == 0
+        sidecar = tmp_path / "e4.metrics.json"
+        assert sidecar.exists()
+        assert json.loads(sidecar.read_text())["meta"]["experiment"] == "e4"
 
 
 class TestResultFormatting:
