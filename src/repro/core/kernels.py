@@ -181,14 +181,16 @@ def alias_draw_batch(prob: Any, alias: Any, size: int, gen: "np.random.Generator
     draw-for-draw.
     """
     prob = np.asarray(prob, dtype=np.float64)
-    alias = np.asarray(alias, dtype=np.intp)
     if use_jit(size):
         if obs.ENABLED:
             _DISPATCH_JIT.inc()
         seed = int(gen.integers(0, 2**64, dtype=np.uint64))
         out = np.empty(size, dtype=np.intp)
-        kernels_jit.alias_draw(prob, alias, seed, out)
+        kernels_jit.alias_draw(prob, np.asarray(alias, dtype=np.intp), seed, out)
         return out
+    # Any integer dtype gathers as is: converting a 32-bit table to intp
+    # would copy the whole table to read ``size`` entries of it.
+    alias = np.asarray(alias)
     if obs.ENABLED:
         _DISPATCH_NUMPY.inc()
     n = len(prob)

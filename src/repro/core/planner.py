@@ -361,6 +361,48 @@ class PlanScope:
             self._store.put(self.fingerprint, self.kind, key, plan)
         return plan
 
+    def fetch_many(
+        self, keys: List[Hashable], build_many: Callable[[List[Hashable]], List[Any]]
+    ) -> List[Any]:
+        """The stored plan for each of ``keys``, in order.
+
+        One ``get`` per key; every miss is built by a single
+        ``build_many(missed_keys)`` call (in one ``plan.build`` span) and
+        stored. A key that repeats an earlier miss of the same call is
+        looked up after the store holds that plan, so the store's
+        hit/miss counts equal those of :meth:`fetch` called key by key.
+        """
+        store, fingerprint, kind = self._store, self.fingerprint, self.kind
+        plans: List[Any] = [None] * len(keys)
+        missed: Dict[Hashable, int] = {}
+        misses: List[int] = []
+        repeats: List[int] = []
+        for index, key in enumerate(keys):
+            if key in missed:
+                repeats.append(index)
+                continue
+            plan = store.get(fingerprint, kind, key)
+            if plan is None:
+                if store.enabled:
+                    missed[key] = index
+                misses.append(index)
+            else:
+                plans[index] = plan
+        if misses:
+            missed_keys = [keys[index] for index in misses]
+            if obs.ENABLED:
+                with obs.span("plan.build", kind=kind, plans=len(misses)):
+                    built = build_many(missed_keys)
+            else:
+                built = build_many(missed_keys)
+            for index, key, plan in zip(misses, missed_keys, built):
+                store.put(fingerprint, kind, key, plan)
+                plans[index] = plan
+        for index in repeats:
+            key = keys[index]
+            plans[index] = self.fetch(key, lambda hint, key=key: build_many([key])[0])
+        return plans
+
     @property
     def hits(self) -> int:
         return self._store.scope_counts(self.fingerprint)[0]

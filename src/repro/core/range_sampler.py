@@ -28,9 +28,9 @@ from repro import obs
 from repro.core import kernels
 from repro.core.alias import AliasTables, alias_draw, build_alias_tables
 from repro.core.planner import QueryPlan, plan_scope
-from repro.core.schemes import multinomial_split
+from repro.core.schemes import multinomial_split, split_counts
 from repro.engine.protocol import RangeQueryMixin
-from repro.errors import BuildError, EmptyQueryError
+from repro.errors import BuildError, EmptyQueryError, InvalidWeightError
 from repro.substrates.bst import NO_CHILD, StaticBST
 from repro.substrates.fenwick import FenwickTree
 from repro.substrates.rng import RNGLike, ensure_rng
@@ -64,6 +64,9 @@ _WOR_REJECTIONS = obs.counter(
     "wor.rejections",
     "Duplicate rejections in the WoR loop (expected O(1)/draw for s <= |S_q|/2)",
 )
+
+#: Engine ops whose plan :meth:`RangeSamplerBase.plan_requests` builds ahead.
+_PLANNED_OPS = ("sample", "sample_indices")
 
 
 class RangeSamplerBase(RangeQueryMixin):
@@ -111,6 +114,13 @@ class RangeSamplerBase(RangeQueryMixin):
             raise BuildError(f"got {len(keys)} keys but {len(weights)} weights")
         self.keys: List[float] = list(keys)
         self.weights: List[float] = validate_weights(weights, context=type(self).__name__)
+        if not math.isfinite(sum(self.weights)):
+            # Every node, chunk and cover weight is a partial sum of this
+            # total: once it overflows, the urns built over it are wrong.
+            raise InvalidWeightError(
+                f"{type(self).__name__}: the total of {len(self.weights)} weights "
+                "overflows float64"
+            )
         # Precomputed once so WoR queries need not scan their span to
         # detect the uniform case (previously an O(span) probe per query).
         self._all_weights_equal = self._weights_all_equal()
@@ -169,8 +179,13 @@ class RangeSamplerBase(RangeQueryMixin):
         Exposed separately because tree sampling (§5) reduces subtree
         queries to *index-range* queries over the DFS leaf order
         (Proposition 1), where the range is known without key search.
+        For planful samplers this is the validating compose of
+        :meth:`plan_span` and :meth:`execute_plan`.
         """
-        raise NotImplementedError
+        validate_sample_size(s)
+        if lo >= hi:
+            raise EmptyQueryError("empty index range")
+        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     # -- plan → execute split (planful subclasses) ---------------------
 
@@ -213,6 +228,66 @@ class RangeSamplerBase(RangeQueryMixin):
         validating compose.
         """
         raise NotImplementedError
+
+    def plan_requests(self, requests: Sequence[Any]) -> List[Optional[QueryPlan]]:
+        """Plan a batch of engine requests at once; one entry per request.
+
+        The engine calls this once per batch, then hands each plan to
+        :meth:`execute`. An entry is ``None`` — the request plans itself
+        when it executes, exactly as without this call — for ops other
+        than ``sample``/``sample_indices``, for requests that fail
+        validation and for empty spans, so error types and messages
+        cannot change. The plans themselves come from one
+        :meth:`PlanScope.fetch_many <repro.core.planner.PlanScope.fetch_many>`
+        over the batch's spans, which keeps the plan store's counts equal
+        to planning request by request. Planning consumes no randomness,
+        so every seeded stream is unchanged.
+        """
+        plans: List[Optional[QueryPlan]] = [None] * len(requests)
+        # Samplers whose sample_span is not the plan -> execute compose
+        # (the sharded view, naive scans) plan inside their own draws.
+        if self.plan_kind is None or type(self).sample_span is not RangeSamplerBase.sample_span:
+            return plans
+        indices: List[int] = []
+        spans: List[Tuple[int, int]] = []
+        for index, request in enumerate(requests):
+            if request.op not in _PLANNED_OPS:
+                continue
+            try:
+                self.validate_request(request)
+                lo, hi = self.span_of(*request.args)
+            except Exception:
+                continue  # execute() raises it again, for this request alone
+            if lo < hi:
+                indices.append(index)
+                spans.append((lo, hi))
+        if spans:
+            for index, plan in zip(indices, self.plan_cache.fetch_many(spans, self._build_plans)):
+                plans[index] = plan
+        return plans
+
+    def _build_plans(self, spans: List[Tuple[int, int]]) -> List[QueryPlan]:
+        """Plans for many spans the store missed (subclass hook)."""
+        return [self._build_plan(lo, hi) for lo, hi in spans]
+
+    def _execute_op(self, request: Any, rng: Any, plan: Optional[QueryPlan] = None) -> List[Any]:
+        if plan is None:
+            return super()._execute_op(request, rng)
+        # A plan from plan_requests: the request is a validated
+        # sample/sample_indices over a non-empty span, so this is
+        # sample_indices minus its span search and planning.
+        s = request.s
+        rng = None if rng is None else ensure_rng(rng)
+        if obs.ENABLED:
+            lo, hi = plan.key
+            with obs.span("range.query", structure=type(self).__name__, s=s, span=hi - lo):
+                indices = self.execute_plan(plan, s, rng=rng)
+        else:
+            indices = self.execute_plan(plan, s, rng=rng)
+        if request.op == "sample":
+            keys = self.keys
+            return [keys[i] for i in indices]
+        return indices
 
     def plan_request(self, request) -> QueryPlan:
         """Plan an engine request without executing any draws.
@@ -295,7 +370,48 @@ class RangeSamplerBase(RangeQueryMixin):
         raise NotImplementedError
 
 
-class TreeWalkRangeSampler(RangeSamplerBase):
+class _CoverRangeSampler(RangeSamplerBase):
+    """A planful sampler over a :class:`StaticBST` cover (§3.2, Lemma 2).
+
+    Holds the tree, the instance stream and the plan scope, and builds
+    the plans of many missed spans from one batched cover walk
+    (:meth:`StaticBST.canonical_nodes_batch`) once there are at least
+    :data:`kernels.BATCH_MIN_SIZE` of them and the tree has its numpy
+    arrays; fewer take the per-span walk.
+    """
+
+    def __init__(
+        self,
+        keys: Sequence[float],
+        weights: Optional[Sequence[float]],
+        rng: RNGLike,
+        plan_cache_size: Optional[int],
+    ):
+        super().__init__(keys, weights)
+        self._tree = StaticBST(self.keys, self.weights)
+        self._rng = ensure_rng(rng)
+        self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
+
+    def _build_plans(self, spans: List[Tuple[int, int]]) -> List[QueryPlan]:
+        tree = self._tree
+        if len(spans) < kernels.BATCH_MIN_SIZE or tree.numpy_arrays() is None:
+            return super()._build_plans(spans)
+        nodes, bounds = tree.canonical_nodes_batch(
+            [lo for lo, _ in spans], [hi for _, hi in spans]
+        )
+        return self._plans_from_covers(spans, nodes, bounds)
+
+    def _plans_from_covers(self, spans, nodes, bounds) -> List[QueryPlan]:
+        """One plan per span from its cover ``nodes[bounds[j]:bounds[j + 1]]``."""
+        cover = nodes.tolist()
+        cuts = bounds.tolist()
+        return [
+            self._build_plan(lo, hi, hint=cover[cuts[j]:cuts[j + 1]])
+            for j, (lo, hi) in enumerate(spans)
+        ]
+
+
+class TreeWalkRangeSampler(_CoverRangeSampler):
     """§3.2 structure: BST + per-node child-sampling; O(s log n) query.
 
     For each sample: pick a canonical node weighted by ``w(u)``, then walk
@@ -320,11 +436,8 @@ class TreeWalkRangeSampler(RangeSamplerBase):
         rng: RNGLike = None,
         plan_cache_size: Optional[int] = None,
     ):
-        super().__init__(keys, weights)
-        self._tree = StaticBST(self.keys, self.weights)
-        self._rng = ensure_rng(rng)
+        super().__init__(keys, weights, rng, plan_cache_size)
         self._np_tree = None  # numpy copy of the BST arrays, built lazily
-        self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
         """Cover + cover-level alias tables for ``[lo, hi)``.
@@ -346,14 +459,6 @@ class TreeWalkRangeSampler(RangeSamplerBase):
             payload=(cover, prob, alias, [None]),
             hint=tuple(cover),
         )
-
-    def sample_span(
-        self, lo: int, hi: int, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        validate_sample_size(s)
-        if lo >= hi:
-            raise EmptyQueryError("empty index range")
-        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
@@ -443,13 +548,19 @@ class TreeWalkRangeSampler(RangeSamplerBase):
         return 6 * self._tree.node_count
 
 
-class AliasAugmentedRangeSampler(RangeSamplerBase):
+class AliasAugmentedRangeSampler(_CoverRangeSampler):
     """Lemma 2 structure: alias tables at every BST node.
 
     Space ``O(n log n)`` (each of the ``O(log n)`` levels stores ``O(n)``
     urns); query time ``O(log n + s)``: find the canonical cover, split the
     ``s`` draws multinomially across it (§4.1), then answer each part from
     that node's pre-built alias structure in O(1) per sample.
+
+    Every internal node's urn table lives in one flat ``prob``/``alias``
+    pair: node ``u``'s table is the ``hi - lo`` entries of its leaf span
+    starting at ``table_start[u]`` (``-1`` for a leaf, which needs no
+    table), with node-local alias indices. Plans address tables by that
+    offset, so no per-node object is ever created.
     """
 
     plan_kind = "lemma2"
@@ -461,30 +572,32 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         rng: RNGLike = None,
         plan_cache_size: Optional[int] = None,
     ):
-        super().__init__(keys, weights)
-        self._tree = StaticBST(self.keys, self.weights)
-        self._rng = ensure_rng(rng)
-        # Per-node alias tables over the node's leaf span. Leaves are
-        # trivial (single element), so store tables for internal nodes only.
-        self._node_tables: List[Optional[AliasTables]] = [None] * self._tree.node_count
-        self._flat_tables: Optional[tuple] = None
-        self._table_entry_count = 0
+        super().__init__(keys, weights, rng, plan_cache_size)
         if kernels.use_batch_build(len(self.keys)):
-            self._build_node_tables_packed()
+            self._build_tables_packed()
         else:
-            for node in self._tree.iter_nodes():
-                if not self._tree.is_leaf(node):
-                    node_lo, node_hi = self._tree.leaf_span(node)
-                    self._node_tables[node] = build_alias_tables(
-                        self.weights[node_lo:node_hi]
-                    )
-                    self._table_entry_count += node_hi - node_lo
-        # numpy copies of per-node tables, converted on first batched use
-        # (already present when the packed builder ran).
-        self._np_node_tables: dict = {}
-        self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
+            self._build_tables_scalar()
 
-    def _build_node_tables_packed(self) -> None:
+    def _build_tables_scalar(self) -> None:
+        """The reference build: one Vose table per internal node, laid
+        out in node-id order (the order the packed build uses too)."""
+        np = kernels.np
+        tree = self._tree
+        table_start = np.full(tree.node_count, -1, dtype=np.intp)
+        prob: List[float] = []
+        alias: List[int] = []
+        for node in tree.iter_nodes():
+            if not tree.is_leaf(node):
+                node_lo, node_hi = tree.leaf_span(node)
+                node_prob, node_alias = build_alias_tables(self.weights[node_lo:node_hi])
+                table_start[node] = len(prob)
+                prob.extend(node_prob)
+                alias.extend(node_alias)
+        self._table_start = table_start
+        self._prob = np.asarray(prob, dtype=np.float64)
+        self._alias = np.asarray(alias, dtype=np.intp)
+
+    def _build_tables_packed(self) -> None:
         """Build *every* internal node's urn table in one flat kernel call.
 
         Each internal node's table is over a contiguous weight slice
@@ -495,31 +608,15 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         per-level (let alone per-node) construction, which is where the
         measured build speedup comes from: numpy dispatch overhead is paid
         per pass over the full structure, not per level.
-
-        Only the flat arrays are stored here; per-node slice views
-        materialize on first touch via :meth:`_node_table` — creating
-        ``Θ(n)`` view objects eagerly costs more than the build itself,
-        and a query workload only ever touches the ``O(log n)`` nodes of
-        its covers.
         """
         np = kernels.np
         tree = self._tree
         arrays = tree.numpy_arrays()
-        if arrays is not None:
-            w = arrays["leaf_weight"]
-            left_arr = arrays["left"]
-            lo_arr = arrays["lo"]
-            hi_arr = arrays["hi"]
-        else:
-            w = np.asarray(self.weights, dtype=np.float64)
-            left, _, _, _ = tree.packed_arrays()
-            span_lo, span_hi = tree.span_arrays()
-            left_arr = np.asarray(left, dtype=np.intp)
-            lo_arr = np.asarray(span_lo, dtype=np.intp)
-            hi_arr = np.asarray(span_hi, dtype=np.intp)
+        w = arrays["leaf_weight"]
+        left_arr = arrays["left"]
+        lo_arr = arrays["lo"]
+        hi_arr = arrays["hi"]
         internal = np.nonzero(left_arr != NO_CHILD)[0]
-        if internal.size == 0:
-            return
         sizes = hi_arr[internal] - lo_arr[internal]
         out_starts = np.cumsum(sizes) - sizes
         total = int(sizes.sum())
@@ -527,58 +624,67 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         flat_idx = np.repeat(
             (lo_arr[internal] - out_starts).astype(idx_t), sizes
         ) + np.arange(total, dtype=idx_t)
-        prob_flat, alias_flat = kernels.build_alias_tables_flat(w[flat_idx], sizes)
-        self._flat_tables = (internal, out_starts, sizes, prob_flat, alias_flat)
-        self._table_entry_count = total
-
-    def _node_table(self, node: int) -> AliasTables:
-        """Alias tables for internal ``node``, resolving flat slices lazily."""
-        tables = self._node_tables[node]
-        if tables is None:
-            internal, out_starts, sizes, prob_flat, alias_flat = self._flat_tables
-            j = int(kernels.np.searchsorted(internal, node))
-            a = int(out_starts[j])
-            b = a + int(sizes[j])
-            tables = (prob_flat[a:b], alias_flat[a:b])
-            self._node_tables[node] = tables
-        return tables
+        # The alias table keeps the kernel's 32-bit dtype: an intp copy
+        # would double its share of the structure's O(n log n) memory.
+        self._prob, self._alias = kernels.build_alias_tables_flat(w[flat_idx], sizes)
+        table_start = np.full(tree.node_count, -1, dtype=np.intp)
+        table_start[internal] = out_starts
+        self._table_start = table_start
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
         """The Lemma-2 plan for ``[lo, hi)``.
 
         The payload is ``(cover_weights, entries)`` where each entry is
-        ``(node, node_lo, tables_or_None)`` — ``None`` marks a leaf.
-        Resolving spans and tables at plan time keeps the warm-cache query
-        path free of per-node tree lookups. The hint is the cover node
-        ids (tables are re-resolved locally — they are views into this
-        instance's structure, not shippable data).
+        ``(node_lo, table_start, size)``: the cover node's first key
+        index and its urn table's place in the flat arrays
+        (``table_start`` is ``-1`` for a leaf). Resolving them at plan
+        time keeps the warm-cache query path free of per-node tree
+        lookups. The hint is the cover node ids.
         """
         tree = self._tree
         cover = list(hint) if hint is not None else tree.canonical_nodes_for_span(lo, hi)
-        entries = []
-        spans = []
-        for node in cover:
-            node_lo, node_hi = tree.leaf_span(node)
-            spans.append((node_lo, node_hi))
-            tables = None if tree.is_leaf(node) else self._node_table(node)
-            entries.append((node, node_lo, tables))
-        cover_weights = [tree.node_weight(u) for u in cover]
+        span_lo, span_hi = tree.span_arrays()
+        return self._plan(
+            lo,
+            hi,
+            cover,
+            [int(span_lo[u]) for u in cover],
+            [int(span_hi[u]) for u in cover],
+            [tree.node_weight(u) for u in cover],
+            self._table_start[cover].tolist(),
+        )
+
+    def _plans_from_covers(self, spans, nodes, bounds) -> List[QueryPlan]:
+        """All plans of a batch from flat cover arrays, gathered at once."""
+        arrays = self._tree.numpy_arrays()
+        cover = nodes.tolist()
+        node_lo = arrays["lo"][nodes].tolist()
+        node_hi = arrays["hi"][nodes].tolist()
+        weights = arrays["node_weight"][nodes].tolist()
+        starts = self._table_start[nodes].tolist()
+        cuts = bounds.tolist()
+        plans = []
+        for j, (lo, hi) in enumerate(spans):
+            a, b = cuts[j], cuts[j + 1]
+            plans.append(
+                self._plan(
+                    lo, hi, cover[a:b], node_lo[a:b], node_hi[a:b], weights[a:b], starts[a:b]
+                )
+            )
+        return plans
+
+    def _plan(self, lo, hi, cover, node_lo, node_hi, weights, starts) -> QueryPlan:
+        entries = [
+            (a, start, b - a) for a, b, start in zip(node_lo, node_hi, starts)
+        ]
         return QueryPlan(
             self.plan_kind,
             (lo, hi),
-            spans=tuple(spans),
-            weights=tuple(cover_weights),
-            payload=(cover_weights, entries),
+            spans=tuple(zip(node_lo, node_hi)),
+            weights=tuple(weights),
+            payload=(weights, entries),
             hint=tuple(cover),
         )
-
-    def sample_span(
-        self, lo: int, hi: int, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        validate_sample_size(s)
-        if lo >= hi:
-            raise EmptyQueryError("empty index range")
-        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
@@ -589,50 +695,54 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
             _L2_QUERIES.inc()
             _L2_DRAWS.add(s)
         cover_weights, entries = plan.payload
-        counts = multinomial_split(cover_weights, s, rng)
-        batched = kernels.use_batch(s)
-        gen = kernels.batch_generator(rng) if batched else None
+        counts = split_counts(cover_weights, s, rng)
+        cutoff = kernels.BATCH_MIN_SIZE
+        prob_view = alias_view = None
+        random = rng.random
         result: List[int] = []
         probes = 0
-        for (node, node_lo, tables), count in zip(entries, counts):
+        for (node_lo, start, size), count in zip(entries, counts):
             if count == 0:
                 continue
-            if tables is None:  # leaf
+            if start < 0:  # leaf
                 result.extend([node_lo] * count)
                 continue
-            if enabled:
-                # Urn probes: each non-leaf draw touches exactly one urn
-                # of the node's pre-built alias table (Lemma 2's O(1)
-                # per-sample step). Accumulated per cover part, ≤ 2 log n
-                # parts, so the bookkeeping is O(log n) per query.
-                probes += count
-            if batched and count >= kernels.BATCH_MIN_SIZE:
-                prob, alias = self._np_tables_for(node)
-                draws = kernels.alias_draw_batch(prob, alias, count, gen)
-                result.extend((node_lo + draws).tolist())
-            else:
-                prob, alias = tables
-                result.extend(
-                    int(node_lo + alias_draw(prob, alias, rng)) for _ in range(count)
+            # Urn probes: each non-leaf draw touches exactly one urn of
+            # the node's pre-built alias table (Lemma 2's O(1) per-sample
+            # step), counted per cover part: O(log n) bookkeeping.
+            probes += count
+            if count >= cutoff:
+                end = start + size
+                draws = kernels.alias_draw_batch(
+                    self._prob[start:end],
+                    self._alias[start:end],
+                    count,
+                    kernels.batch_generator(rng),
                 )
+                result.extend((node_lo + draws).tolist())
+                continue
+            if prob_view is None:
+                # Plain-Python element reads: indexing the numpy arrays
+                # would box a numpy scalar per urn.
+                prob_view = memoryview(self._prob)
+                alias_view = memoryview(self._alias)
+            # alias_draw over the node's slice of the flat tables: the
+            # same two rng.random() calls per draw, in part order.
+            for _ in range(count):
+                urn = int(random() * size)
+                if urn == size:  # random() rounding to 1.0
+                    urn = size - 1
+                if random() < prob_view[start + urn]:
+                    result.append(node_lo + urn)
+                else:
+                    result.append(node_lo + alias_view[start + urn])
         if enabled and probes:
             _L2_PROBES.add(probes)
         return result
 
-    def _np_tables_for(self, node: int):
-        tables = self._np_node_tables.get(node)
-        if tables is None:
-            prob, alias = self._node_table(node)
-            if isinstance(prob, kernels.np.ndarray):
-                tables = (prob, alias)  # packed build: already numpy views
-            else:
-                tables = kernels.as_alias_arrays(prob, alias)
-            self._np_node_tables[node] = tables
-        return tables
-
     def space_words(self) -> int:
         tree_words = 6 * self._tree.node_count
-        return tree_words + 2 * self._table_entry_count
+        return tree_words + 2 * len(self._prob)
 
 
 class ChunkedRangeSampler(RangeSamplerBase):
@@ -899,14 +1009,6 @@ class ChunkedRangeSampler(RangeSamplerBase):
             payload=parts,
             hint=tuple((kind, p_lo, p_hi) for kind, p_lo, p_hi, _, _ in parts),
         )
-
-    def sample_span(
-        self, lo: int, hi: int, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        validate_sample_size(s)
-        if lo >= hi:
-            raise EmptyQueryError("empty index range")
-        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None

@@ -16,15 +16,19 @@ collision-rejection WoR wrapper usable with any WR sampler.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Hashable, List, Optional, Sequence, Set, TypeVar
 
+from repro import obs
 from repro.core import kernels
-from repro.core.alias import AliasSampler
-from repro.errors import EmptyQueryError, SampleBudgetExceededError
+from repro.core.alias import alias_draw, build_alias_tables
+from repro.errors import BuildError, EmptyQueryError, SampleBudgetExceededError
 from repro.substrates.rng import RNGLike, ensure_rng
 from repro.validation import validate_sample_size, validate_weights
 
 T = TypeVar("T", bound=Hashable)
+
+_ALIAS_DRAWS = obs.counter("alias.draws")
 
 
 def multinomial_split(weights: Sequence[float], s: int, rng: RNGLike = None) -> List[int]:
@@ -37,16 +41,30 @@ def multinomial_split(weights: Sequence[float], s: int, rng: RNGLike = None) -> 
     draw ``s`` part samples in ``O(s)``.
     """
     validate_sample_size(s)
-    generator = ensure_rng(rng)
-    if kernels.use_batch(s) and len(weights) > 0:
-        cleaned = validate_weights(weights, context="multinomial_split")
-        return kernels.multinomial_split_batch(
-            cleaned, s, kernels.batch_generator(generator)
-        )
-    alias = AliasSampler(list(range(len(weights))), weights, rng=generator)
+    if len(weights) == 0:
+        raise BuildError("multinomial_split needs at least one part")
+    cleaned = validate_weights(weights, context="multinomial_split")
+    return split_counts(cleaned, s, ensure_rng(rng))
+
+
+def split_counts(weights: Sequence[float], s: int, rng: random.Random) -> List[int]:
+    """:func:`multinomial_split` on weights already checked at build.
+
+    ``weights`` must be non-empty, positive and finite with a finite
+    total; nothing is re-checked. Lemma-2 plans call this on their cover
+    weights, which the structure validated once when it was built.
+    """
+    if kernels.use_batch(s):
+        return kernels.multinomial_split_batch(weights, s, kernels.batch_generator(rng))
+    if kernels.use_batch_build(len(weights)):
+        prob, alias = (table.tolist() for table in kernels.build_alias_tables_batch(weights))
+    else:
+        prob, alias = build_alias_tables(weights)
+    if obs.ENABLED:
+        _ALIAS_DRAWS.add(s)
     counts = [0] * len(weights)
-    for part in alias.sample_indices(s):
-        counts[part] += 1
+    for _ in range(s):
+        counts[alias_draw(prob, alias, rng)] += 1
     return counts
 
 

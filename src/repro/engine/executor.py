@@ -30,6 +30,11 @@ list of :class:`~repro.engine.protocol.QueryResult`:
   each shard is *pinned* to one resident worker, shipped once via
   shared memory, with per-request traffic a few ints per shard.
   docs/ARCHITECTURE.md has the placement × execution matrix.
+* **Batch planning.** Before executing a batch the engine asks the
+  sampler for every request's plan in one ``plan_requests`` call (range
+  samplers; one batched cover search for the plan-store misses), then
+  runs each request with its plan. Planning consumes no randomness, so
+  results are byte-identical to planning request by request.
 * **Error capture.** Per-request failures (empty interval, bad ``s``, a
   worker process dying mid-batch) are caught into ``result.error``
   instead of poisoning the batch; ``errors="raise"`` restores fail-fast
@@ -65,7 +70,7 @@ from repro.engine.placement import (
     make_placement,
     normalize_backend,
 )
-from repro.engine.protocol import QueryRequest, QueryResult, Sampler
+from repro.engine.protocol import QueryRequest, QueryResult, Sampler, plan_jobs
 from repro.engine.registry import build
 from repro.errors import WorkerCrashedError
 from repro.substrates.rng import DEFAULT_SEED, derive_seed, ensure_rng
@@ -449,20 +454,32 @@ class SamplingEngine:
         # run in submission order and the parallelism lives *inside*
         # each request's shard fan-out.
         sampler = self._placement.view(sampler, self)
+        planned = list(zip(jobs, plan_jobs(sampler, jobs)))
+
+        def run(part: List[Tuple[Tuple[QueryRequest, Optional[int]], Any]]) -> List[QueryResult]:
+            return [self._execute_one(sampler, *job, plan) for job, plan in part]
+
         if (
             self.placement == "local"
             and self.execution == "thread"
             and len(jobs) > 1
             and self.max_workers > 1
         ):
+            # Contiguous chunks, as the process path sends: a pool task
+            # per request costs ~20 µs of submit-and-wait overhead, as
+            # much as a cold Lemma-2 request's planning.
+            size = math.ceil(len(planned) / (self.max_workers * 4))
+            parts = [planned[start:start + size] for start in range(0, len(planned), size)]
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(
-                    pool.map(lambda job: self._execute_one(sampler, *job), jobs)
-                )
-        return [self._execute_one(sampler, request, seed) for request, seed in jobs]
+                return [result for chunk in pool.map(run, parts) for result in chunk]
+        return run(planned)
 
     def _execute_one(
-        self, sampler: Sampler, request: QueryRequest, seed: Optional[int]
+        self,
+        sampler: Sampler,
+        request: QueryRequest,
+        seed: Optional[int],
+        plan: Any = None,
     ) -> QueryResult:
         enabled = obs.ENABLED
         spec = getattr(sampler, "engine_spec", None) or type(sampler).__name__
@@ -470,9 +487,11 @@ class SamplingEngine:
         try:
             started = perf_counter() if enabled else 0.0
             try:
-                result = sampler.execute(
-                    request, rng=None if seed is None else ensure_rng(seed)
-                )
+                rng = None if seed is None else ensure_rng(seed)
+                if plan is None:
+                    result = sampler.execute(request, rng=rng)
+                else:
+                    result = sampler.execute(request, rng=rng, plan=plan)
                 result.seed = seed
             except Exception as exc:
                 if self._errors == "raise":

@@ -39,6 +39,7 @@ from typing import (
     NamedTuple,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "QueryResult",
     "Sampler",
     "ShardTask",
+    "plan_jobs",
 ]
 
 
@@ -241,6 +243,15 @@ class Sampler(Protocol):
     def execute(self, request: QueryRequest, *, rng: Any = None) -> QueryResult: ...
 
 
+def plan_jobs(sampler: Any, jobs: Sequence[Tuple[QueryRequest, Any]]) -> List[Any]:
+    """The plan of each ``(request, seed)`` job, from one ``plan_requests``
+    call on ``sampler``; ``None`` throughout for samplers without one."""
+    planner = getattr(sampler, "plan_requests", None)
+    if planner is None:
+        return [None] * len(jobs)
+    return planner([request for request, _ in jobs])
+
+
 # One lock for every state-swap execution in the process: swap-based
 # samplers mutate their shared generator in place, so two concurrent
 # seeded requests on *any* pair of them must not interleave. Samplers
@@ -310,12 +321,16 @@ class EngineSampler:
                 f"available: {sorted(self.engine_ops)}"
             )
 
-    def execute(self, request: QueryRequest, *, rng: Any = None) -> QueryResult:
+    def execute(
+        self, request: QueryRequest, *, rng: Any = None, plan: Any = None
+    ) -> QueryResult:
         """Run one request and return a timed :class:`QueryResult`.
 
         ``rng`` overrides the stream for this request (seed, ``Random``,
         or ``None``); when ``None``, ``request.seed`` is consulted, and
-        failing that the sampler's instance stream is consumed. Errors
+        failing that the sampler's instance stream is consumed. ``plan``
+        is this request's entry from the sampler's ``plan_requests``
+        (range samplers; ``None`` plans inside the call). Errors
         propagate — batch-level capture is the engine's job.
         """
         self.validate_request(request)
@@ -323,7 +338,7 @@ class EngineSampler:
         if rng is None and seed is not None:
             rng = ensure_rng(seed)
         started = time.perf_counter()
-        values = self._execute_op(request, rng)
+        values = self._execute_op(request, rng, plan)
         elapsed = time.perf_counter() - started
         return QueryResult(
             request=request,
@@ -341,7 +356,7 @@ class EngineSampler:
 
     # ------------------------------------------------------------------
 
-    def _execute_op(self, request: QueryRequest, rng: Any) -> List[Any]:
+    def _execute_op(self, request: QueryRequest, rng: Any, plan: Any = None) -> List[Any]:
         op = self.engine_ops[request.op]
         method = getattr(self, op.method)
         call_args = (*request.args, request.s) if op.takes_s else request.args

@@ -34,8 +34,8 @@ Name-based attach is start-method agnostic: the same token works under
 Supported structures: :class:`~repro.core.alias.AliasSampler`,
 :class:`~repro.core.range_sampler.TreeWalkRangeSampler`,
 :class:`~repro.core.range_sampler.AliasAugmentedRangeSampler` (the
-Lemma-2 structure; scalar builds synthesize the flat-table form on
-export), :class:`~repro.core.range_sampler.ChunkedRangeSampler`
+Lemma-2 structure: its flat urn tables and their per-node offsets),
+:class:`~repro.core.range_sampler.ChunkedRangeSampler`
 (Theorem 3 — chunk matrices, Fenwick array, and the nested ``T_chunk``
 ride along under a ``tchunk.`` prefix), and
 :class:`~repro.core.coverage.CoverageSampler` over a ``BSTIndex``
@@ -350,52 +350,15 @@ def _attach_treewalk(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
     return sampler
 
 
-def _lemma2_flat_from_scalar(sampler: Any) -> tuple:
-    """Synthesize the packed flat-table form from scalar per-node tables.
-
-    A scalar-built Lemma-2 structure holds every internal node's
-    ``(prob, alias)`` eagerly; concatenating them in ascending node-id
-    order produces exactly the arrays the packed builder would have
-    stored (same float64/intp payload), so an attached copy draws
-    byte-identically whichever path built the original.
-    """
-    internal = [
-        node for node, tables in enumerate(sampler._node_tables) if tables is not None
-    ]
-    sizes = np.asarray(
-        [len(sampler._node_tables[node][0]) for node in internal], dtype=np.intp
-    )
-    out_starts = np.cumsum(sizes) - sizes if internal else sizes
-    if internal:
-        prob_flat = np.concatenate(
-            [np.asarray(sampler._node_tables[n][0], dtype=np.float64) for n in internal]
-        )
-        alias_flat = np.concatenate(
-            [np.asarray(sampler._node_tables[n][1], dtype=np.intp) for n in internal]
-        )
-    else:
-        prob_flat = np.empty(0, dtype=np.float64)
-        alias_flat = np.empty(0, dtype=np.intp)
-    return np.asarray(internal, dtype=np.intp), out_starts, sizes, prob_flat, alias_flat
-
-
 def _export_lemma2(sampler: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    flat = sampler._flat_tables
-    if flat is None:
-        flat = _lemma2_flat_from_scalar(sampler)
     arrays, meta = _export_range_common(sampler)
-    internal, out_starts, sizes, prob_flat, alias_flat = flat
     arrays.update(
         {
-            "flat.internal": np.asarray(internal, dtype=np.intp),
-            "flat.out_starts": np.asarray(out_starts, dtype=np.intp),
-            "flat.sizes": np.asarray(sizes, dtype=np.intp),
-            "flat.prob": np.asarray(prob_flat, dtype=np.float64),
-            "flat.alias": np.asarray(alias_flat),
+            "flat.table_start": sampler._table_start,
+            "flat.prob": sampler._prob,
+            "flat.alias": sampler._alias,
         }
     )
-    meta["table_entry_count"] = sampler._table_entry_count
-    meta["node_count"] = sampler._tree.node_count
     return arrays, meta
 
 
@@ -404,16 +367,9 @@ def _attach_lemma2(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
 
     sampler = object.__new__(AliasAugmentedRangeSampler)
     _attach_range_common(sampler, arrays, meta)
-    sampler._flat_tables = (
-        arrays["flat.internal"],
-        arrays["flat.out_starts"],
-        arrays["flat.sizes"],
-        arrays["flat.prob"],
-        arrays["flat.alias"],
-    )
-    sampler._node_tables = [None] * meta["node_count"]
-    sampler._np_node_tables = {}
-    sampler._table_entry_count = meta["table_entry_count"]
+    sampler._table_start = arrays["flat.table_start"]
+    sampler._prob = arrays["flat.prob"]
+    sampler._alias = arrays["flat.alias"]
     return sampler
 
 

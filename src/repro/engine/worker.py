@@ -60,7 +60,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.engine.protocol import QueryRequest, QueryResult
+from repro.engine.protocol import QueryRequest, QueryResult, plan_jobs
 from repro.substrates.rng import ensure_rng
 
 __all__ = ["build_from_token", "execute_chunk", "execute_shard_chunk"]
@@ -120,14 +120,17 @@ def _serve(
     items: List[Any],
     harvest: bool,
     describe: Callable[[Any], Tuple[Optional[str], str, int, str]],
-    run_one: Callable[[Any, Any], Any],
+    run_one: Callable[[Any, Any, Any], Any],
+    plan_all: Optional[Callable[[Any, List[Any]], List[Any]]] = None,
 ) -> Tuple[int, List[Any], Optional[dict]]:
     """The skeleton both entry points share: resident lookup/build,
     harvest bracket, per-item trace context and flight record.
 
-    ``describe(item)`` gives ``(trace_id, op, s, spec_suffix)`` and
-    ``run_one(sampler, item)`` executes one item; an item that raised
-    has its (picklable) exception as its outcome.
+    ``describe(item)`` gives ``(trace_id, op, s, spec_suffix)``;
+    ``plan_all(sampler, items)``, when given, plans the whole chunk once
+    the sampler is resident, and ``run_one(sampler, item, plan)``
+    executes one item with its plan (``None`` without ``plan_all``). An
+    item that raised has its (picklable) exception as its outcome.
     """
     base: Optional[dict] = None
     if harvest:
@@ -142,8 +145,9 @@ def _serve(
         base = harvest_mod.baseline()
     rebuilds = 0
     sampler = _RESIDENT.get(key)
+    plans: Optional[List[Any]] = None
     outcomes: List[Any] = []
-    for item in items:
+    for index, item in enumerate(items):
         trace_id, op, s, suffix = describe(item)
         trace_token = obs.set_current_trace(trace_id) if harvest else None
         started = time.perf_counter()
@@ -154,7 +158,9 @@ def _serve(
                     sampler = build_from_token(token)
                 _RESIDENT[key] = sampler
                 rebuilds = 1
-            outcomes.append(run_one(sampler, item))
+            if plans is None:
+                plans = plan_all(sampler, items) if plan_all else [None] * len(items)
+            outcomes.append(run_one(sampler, item, plans[index]))
         except Exception as exc:
             error = _picklable_error(exc)
             outcomes.append(error)
@@ -176,10 +182,16 @@ def _serve(
     return rebuilds, outcomes, None
 
 
-def _run_request(sampler: Any, job: Tuple[QueryRequest, Optional[int]]) -> QueryResult:
+def _run_request(
+    sampler: Any, job: Tuple[QueryRequest, Optional[int]], plan: Any
+) -> QueryResult:
     request, seed = job
+    rng = None if seed is None else ensure_rng(seed)
     with obs.span("worker.execute", op=request.op):
-        result = sampler.execute(request, rng=None if seed is None else ensure_rng(seed))
+        if plan is None:
+            result = sampler.execute(request, rng=rng)
+        else:
+            result = sampler.execute(request, rng=rng, plan=plan)
     result.seed = seed
     return result
 
@@ -192,7 +204,9 @@ def execute_chunk(
 ) -> Tuple[int, List[Any], Optional[dict]]:
     """Execute a chunk of ``(request, seed)`` jobs on the resident sampler.
 
-    Returns ``(rebuilds, outcomes, delta)`` where ``rebuilds`` is 1 when
+    The chunk is planned in one ``plan_requests`` call on the resident
+    sampler, as the engine plans a local batch. Returns
+    ``(rebuilds, outcomes, delta)`` where ``rebuilds`` is 1 when
     this call had to (re)build the sampler — the parent feeds it into the
     ``engine.worker_rebuilds`` counter — and ``delta`` is the harvest
     payload of everything this chunk recorded in the worker registry
@@ -207,10 +221,11 @@ def execute_chunk(
         harvest,
         lambda job: (job[0].trace_id, job[0].op, job[0].s, ""),
         _run_request,
+        plan_jobs,
     )
 
 
-def _run_shard_draw(sampler: Any, draw: Tuple[Any, ...]) -> List[int]:
+def _run_shard_draw(sampler: Any, draw: Tuple[Any, ...], _plan: Any) -> List[int]:
     shard, lo, hi, quota, seed = draw[:5]
     portable = draw[6] if len(draw) > 6 else None
     with obs.span("worker.shard_draw", s=quota, shard=shard):

@@ -120,6 +120,30 @@ class TestContracts:
         assert chi_square_weighted_pvalue(samples, target) > ALPHA
 
 
+@pytest.mark.parametrize("spec", ["range.treewalk", "range.lemma2", "range.chunked"])
+@pytest.mark.parametrize("n", [4, 200])
+class TestOverflowingTotalWeight:
+    """Every weight is finite but their total is not: rejected at build.
+
+    Node, chunk and cover weights are partial sums of that total, so an
+    unchecked overflow yields wrong urns (a tree walk that only ever
+    reaches the last key) or errors far from the cause (``OverflowError``
+    in a table build, ``InvalidWeightError`` at query time).
+    """
+
+    def test_rejected_at_build(self, spec, n):
+        from repro.engine.registry import build
+
+        with pytest.raises(InvalidWeightError, match="overflows float64"):
+            build(spec, keys=make_keys(n), weights=[1e308] * n, rng=1)
+
+    def test_large_finite_total_still_builds(self, spec, n):
+        from repro.engine.registry import build
+
+        sampler = build(spec, keys=make_keys(n), weights=[1e305] * n, rng=1)
+        assert set(sampler.sample_indices(0.0, n - 1.0, 50 * n)) == set(range(n))
+
+
 class TestSpaceAccounting:
     def test_lemma2_space_superlinear(self):
         # Lemma 2 uses Θ(n log n) words; Theorem 3 stays Θ(n).

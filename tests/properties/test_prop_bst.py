@@ -61,3 +61,26 @@ def test_height_is_ceil_log2(n):
 
     tree = StaticBST([float(i) for i in range(n)])
     assert tree.height() == math.ceil(math.log2(n))
+
+
+@st.composite
+def tree_and_spans(draw):
+    """A tree size (powers of two and not) plus index spans over it,
+    with the edge spans every batch must get right mixed in."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 63, 64, 65, 100, 128]), st.integers(1, 300)))
+    bound = st.integers(0, n)
+    spans = draw(st.lists(st.tuples(bound, bound), max_size=40))
+    spans += [(0, n), (0, 1), (n - 1, n), (n // 2, n // 2 + 1), (n, n)]
+    return n, draw(st.permutations(spans))
+
+
+@given(data=tree_and_spans())
+@settings(max_examples=100, deadline=None)
+def test_batch_covers_equal_per_span_covers(data):
+    n, spans = data
+    tree = StaticBST([float(i) for i in range(n)])
+    nodes, bounds = tree.canonical_nodes_batch([lo for lo, _ in spans], [hi for _, hi in spans])
+    nodes, bounds = nodes.tolist(), bounds.tolist()
+    assert len(bounds) == len(spans) + 1
+    for j, (lo, hi) in enumerate(spans):
+        assert nodes[bounds[j]:bounds[j + 1]] == tree.canonical_nodes_for_span(lo, hi)
