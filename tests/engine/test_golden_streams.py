@@ -17,11 +17,13 @@ The capture uses only long-stable public entry points (``demo_build``,
 unchanged before and after the refactor — that is what makes the file a
 pre/post byte-identity oracle rather than a self-fulfilling snapshot.
 
-Every capture leg keeps ``s`` below ``kernels.BATCH_MIN_SIZE``, so the
-query draws run the scalar reference loops. Structures whose internal
-draws cross the cutoff regardless of the query's ``s`` (the EM sampler's
-pool refill splits a full pool multinomially) are pinned on the numpy
-path those refills take.
+Every capture leg but ``batch`` keeps ``s`` below
+``kernels.BATCH_MIN_SIZE``, so the query draws run the scalar reference
+loops. The ``batch`` leg repeats the serial leg at ``s = 64``, pinning
+the numpy draw paths. Structures whose internal draws cross the cutoff
+regardless of the query's ``s`` (the EM sampler's pool refill splits a
+full pool multinomially) are pinned on the numpy path those refills take
+in every leg.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ DIRECT_SEED = 7
 #: query draws run the scalar reference loops.
 BATCH_S = 5
 DIRECT_S = 8
+#: Draws per request of the ``batch`` leg — at or above
+#: kernels.BATCH_MIN_SIZE, so the query draws take the numpy paths.
+NUMPY_S = 64
 #: Requests per batched leg.
 BATCH_REQUESTS = 3
 #: Shard counts for the sharded-placement legs (the acceptance K set).
@@ -55,18 +60,18 @@ def _normalize(values):
     return json.loads(json.dumps(values))
 
 
-def _batch(template: QueryRequest):
+def _batch(template: QueryRequest, s: int = BATCH_S):
     return [
-        QueryRequest(op=template.op, args=template.args, s=BATCH_S)
+        QueryRequest(op=template.op, args=template.args, s=s)
         for _ in range(BATCH_REQUESTS)
     ]
 
 
-def _run_serial(spec: str):
+def _run_serial(spec: str, s: int = BATCH_S):
     sampler, template = demo_build(spec)
     engine = SamplingEngine(backend="serial", seed=ENGINE_SEED)
     try:
-        results = engine.run(sampler, _batch(template))
+        results = engine.run(sampler, _batch(template, s))
         return [_normalize(result.unwrap()) for result in results]
     finally:
         engine.close()
@@ -112,6 +117,7 @@ def capture() -> dict:
         legs = {
             "serial": _run_serial(spec),
             "direct": _run_direct(spec),
+            "batch": _run_serial(spec, NUMPY_S),
         }
         probe, _ = demo_build(spec)
         if ShardedSampler.supports(probe):
@@ -151,6 +157,11 @@ def test_serial_stream_matches_golden(spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_direct_execute_matches_golden(spec):
     assert _run_direct(spec) == GOLDENS[spec]["direct"]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_batch_stream_matches_golden(spec):
+    assert _run_serial(spec, NUMPY_S) == GOLDENS[spec]["batch"]
 
 
 @pytest.mark.parametrize("spec", SPECS)
