@@ -40,11 +40,12 @@ def euclidean(a: Point, b: Point) -> float:
 class FairNearNeighbor(EngineSampler):
     """Uniform independent sampling of the points within ``r`` of a query."""
 
-    # The grid shifts and the inner set-union sampler share one generator;
-    # seeded requests re-seed it through the protocol's swap path.
+    # A request's stream drives the inner set-union sampler too, whose
+    # rebuild epoch makes the output depend on request order: not
+    # thread-safe (runs in submission order).
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=False),
-        "sample_distinct": EngineOp("sample_distinct", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_many", spawn=True),
+        "sample_distinct": EngineOp("sample_distinct", spawn=True),
     }
 
     def __init__(
@@ -87,7 +88,7 @@ class FairNearNeighbor(EngineSampler):
             if euclidean(point, query) <= self.radius
         ]
 
-    def sample(self, query: Point) -> Point:
+    def sample(self, query: Point, *, rng: RNGLike = None) -> Point:
         """One uniform independent r-near neighbor of ``query``.
 
         Raises :class:`EmptyQueryError` when no point lies within ``r``.
@@ -108,7 +109,7 @@ class FairNearNeighbor(EngineSampler):
                     "too few in-ball points for query "
                     f"{query!r}"
                 )
-            index = self._union_sampler.sample(group)
+            index = self._union_sampler.sample(group, rng=rng)
             point = self._points[index]
             if euclidean(point, query) <= self.radius:
                 if obs.ENABLED:
@@ -117,7 +118,7 @@ class FairNearNeighbor(EngineSampler):
                 return point
             self.total_rejections += 1
 
-    def sample_many(self, query: Point, s: int) -> List[Point]:
+    def sample_many(self, query: Point, s: int, *, rng: RNGLike = None) -> List[Point]:
         """``s`` independent r-fair nearest neighbors (IQS, s ≥ 1).
 
         The batch path draws candidate blocks from the set-union sampler's
@@ -127,7 +128,7 @@ class FairNearNeighbor(EngineSampler):
         """
         validate_sample_size(s)
         if not kernels.use_batch(s):
-            return [self.sample(query) for _ in range(s)]
+            return [self.sample(query, rng=rng) for _ in range(s)]
         group = self.candidate_sets(query)
         if not group:
             raise EmptyQueryError(f"no points within {self.radius} of {query!r}")
@@ -153,7 +154,7 @@ class FairNearNeighbor(EngineSampler):
                     f"{query!r}"
                 )
             indices = np.asarray(
-                self._union_sampler.sample_many(group, block), dtype=np.intp
+                self._union_sampler.sample_many(group, block, rng=rng), dtype=np.intp
             )
             distances = np.sqrt(((points[indices] - query_arr) ** 2).sum(axis=1))
             accepted = distances <= self.radius
@@ -174,7 +175,7 @@ class FairNearNeighbor(EngineSampler):
                 result.append(self._points[index])
         return result
 
-    def sample_distinct(self, query: Point, s: int) -> List[Point]:
+    def sample_distinct(self, query: Point, s: int, *, rng: RNGLike = None) -> List[Point]:
         """``s`` *distinct* r-near neighbors (WoR scheme, §1).
 
         Duplicate-rejection over :meth:`sample`; expected O(s) extra draws
@@ -198,7 +199,7 @@ class FairNearNeighbor(EngineSampler):
                 raise SampleBudgetExceededError(
                     "distinct-neighbor rejection budget exhausted"
                 )
-            point = self.sample(query)
+            point = self.sample(query, rng=rng)
             if point not in seen:
                 seen.add(point)
                 ordered.append(point)

@@ -67,8 +67,9 @@ class SampledTable(EngineSampler):
     # Request shape: args=(column, lo, hi); indexes must exist already
     # (create_index is a build-time step, not a query op).
     engine_ops = {
-        "sample": EngineOp("sample_where", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_where", spawn=True),
     }
+    engine_thread_safe = True
 
     def __init__(self, rows: Sequence[Row], rng: RNGLike = None):
         if len(rows) == 0:
@@ -138,6 +139,8 @@ class SampledTable(EngineSampler):
         weight_column: Optional[str] = None,
         where: Optional[Callable[[Row], bool]] = None,
         max_rejects_per_sample: int = 10_000,
+        *,
+        rng: RNGLike = None,
     ) -> List[Row]:
         """``s`` independent random rows with ``row[column] ∈ [lo, hi]``.
 
@@ -156,13 +159,15 @@ class SampledTable(EngineSampler):
         rows = self._rows
         positions = index.row_positions
         if where is None:
-            drawn = index.sampler.sample_span(span_lo, span_hi, s)
+            drawn = index.sampler.sample_span(span_lo, span_hi, s, rng=rng)
             return [rows[positions[i]] for i in drawn]
 
         result: List[Row] = []
         rejects = 0
         while len(result) < s:
-            batch = index.sampler.sample_span(span_lo, span_hi, s - len(result))
+            batch = index.sampler.sample_span(
+                span_lo, span_hi, s - len(result), rng=rng
+            )
             for i in batch:
                 row = rows[positions[i]]
                 if where(row):

@@ -189,11 +189,11 @@ class ApproxCoverSampler(EngineSampler):
     the union (the [2]-style extension mentioned in the §6 remarks).
     """
 
-    # Rejection counters make the structure stateful; seeded requests use
-    # the protocol's swap path.
+    # Queries bump the rejection counter and fill the span-table cache,
+    # so the structure is not thread-safe (runs in submission order).
     engine_ops = {
-        "sample": EngineOp("sample", takes_s=True, pass_rng=False),
-        "sample_indices": EngineOp("sample_indices", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample", spawn=True),
+        "sample_indices": EngineOp("sample_indices", spawn=True),
     }
 
     def __init__(
@@ -219,29 +219,29 @@ class ApproxCoverSampler(EngineSampler):
         lo, hi = span
         return self._prefix[hi] - self._prefix[lo]
 
-    def _draw_within(self, span: Span) -> int:
+    def _draw_within(self, span: Span, rng: RNGLike) -> int:
         lo, hi = span
         if hi - lo == 1:
             return lo
         if self._uniform:
-            return min(lo + int(self._rng.random() * (hi - lo)), hi - 1)
+            return min(lo + int(rng.random() * (hi - lo)), hi - 1)
         tables = self._span_tables.get(span)
         if tables is None:
             tables = build_alias_tables(self._weights[lo:hi])
             self._span_tables[span] = tables
         prob, alias = tables
-        return lo + alias_draw(prob, alias, self._rng)
+        return lo + alias_draw(prob, alias, rng)
 
     def _cover_tables(self, cover: ApproximateCover) -> AliasTables:
         return build_alias_tables([self._span_weight(span) for span in cover.spans])
 
-    def sample_indices(self, query: Any, s: int) -> List[int]:
+    def sample_indices(self, query: Any, s: int, *, rng: RNGLike = None) -> List[int]:
         validate_sample_size(s)
         cover = self._index.find_approximate_cover(query)
         if not cover.spans:
             raise EmptyQueryError(f"no elements satisfy {query!r}")
         prob, alias = self._cover_tables(cover)
-        return self._rejection_loop(query, cover, prob, alias, s)
+        return self._rejection_loop(query, cover, prob, alias, s, rng)
 
     def _rejection_loop(
         self,
@@ -250,9 +250,10 @@ class ApproxCoverSampler(EngineSampler):
         prob: Sequence[float],
         alias: Sequence[int],
         s: int,
+        rng: RNGLike,
     ) -> List[int]:
         index = self._index
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         result: List[int] = []
         while len(result) < s:
             attempts = 0
@@ -264,16 +265,16 @@ class ApproxCoverSampler(EngineSampler):
                         "approximate-cover acceptance assumption failed"
                     )
                 span = cover.spans[alias_draw(prob, alias, rng)]
-                position = self._draw_within(span)
+                position = self._draw_within(span, rng)
                 if index.matches(query, position):
                     result.append(position)
                     break
                 self.total_rejections += 1
         return result
 
-    def sample(self, query: Any, s: int) -> List[Any]:
+    def sample(self, query: Any, s: int, *, rng: RNGLike = None) -> List[Any]:
         items = self._index.leaf_items
-        return [items[i] for i in self.sample_indices(query, s)]
+        return [items[i] for i in self.sample_indices(query, s, rng=rng)]
 
 
 class PrecomputedCoverSampler(ApproxCoverSampler):
@@ -308,7 +309,7 @@ class PrecomputedCoverSampler(ApproxCoverSampler):
         """``Σ_{C∈Ĉ} |C|`` — the Corollary-7 space term."""
         return self._extra_space
 
-    def sample_indices(self, query: Any, s: int) -> List[int]:
+    def sample_indices(self, query: Any, s: int, *, rng: RNGLike = None) -> List[int]:
         validate_sample_size(s)
         cover = self._index.find_approximate_cover(query)
         if not cover.spans:
@@ -320,4 +321,4 @@ class PrecomputedCoverSampler(ApproxCoverSampler):
                 "iter_distinct_covers() under-enumerated"
             )
         prob, alias = tables
-        return self._rejection_loop(query, cover, prob, alias, s)
+        return self._rejection_loop(query, cover, prob, alias, s, rng)

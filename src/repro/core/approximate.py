@@ -34,8 +34,9 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
     """ε-approximate weighted set sampling with O(1) updates (Direction 4)."""
 
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_many", spawn=True),
     }
+    engine_thread_safe = True
 
     def __init__(self, epsilon: float = 0.1, rng: RNGLike = None):
         if not 0 < epsilon < 1:
@@ -119,7 +120,7 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
             )
         return item  # type: ignore[return-value]
 
-    def sample(self) -> T:
+    def sample(self, *, rng: RNGLike = None) -> T:
         """One independent ε-approximate weighted sample.
 
         Exact two-stage draw over the quantized distribution: pick a class
@@ -128,7 +129,7 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
         """
         if self._size == 0:
             raise EmptyQueryError("sampler is empty")
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         class_items = self._class_items
         class_unit = self._class_unit
         target = rng.random() * self._total_mass
@@ -145,9 +146,9 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
             index -= 1
         return items[index]  # type: ignore[return-value]
 
-    def sample_many(self, s: int) -> List[T]:
+    def sample_many(self, s: int, *, rng: RNGLike = None) -> List[T]:
         validate_sample_size(s)
-        return [self.sample() for _ in range(s)]
+        return [self.sample(rng=rng) for _ in range(s)]
 
     def probability_bounds(self, handle: int, total_true_weight: float) -> Tuple[float, float]:
         """(lower, upper) bounds on this element's sampling probability

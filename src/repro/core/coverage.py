@@ -38,7 +38,7 @@ from repro.engine.protocol import EngineOp, EngineSampler
 from repro.errors import BuildError, EmptyQueryError
 from repro.substrates.bst import StaticBST
 from repro.substrates.rng import RNGLike, ensure_rng
-from repro.validation import validate_sample_size
+from repro.validation import validate_range_bounds, validate_sample_size
 
 Span = Tuple[int, int]
 
@@ -108,8 +108,8 @@ class CoverageSampler(EngineSampler):
     """
 
     engine_ops = {
-        "sample": EngineOp("sample", takes_s=True, pass_rng=True),
-        "sample_indices": EngineOp("sample_indices", takes_s=True, pass_rng=True),
+        "sample": EngineOp("sample"),
+        "sample_indices": EngineOp("sample_indices"),
     }
     engine_thread_safe = True
 
@@ -215,6 +215,19 @@ class CoverageSampler(EngineSampler):
         return self.plan_cache.fetch(
             query, lambda hint: self._build_plan(query, hint=hint), portable
         )
+
+    def validate_request(self, request) -> None:
+        """Common checks, plus NaN-free rectangles for indexes with ``dims``.
+
+        A NaN bound compares false against every coordinate, so each
+        index's search would read it differently (samples from one,
+        :class:`~repro.errors.EmptyQueryError` from another); every
+        rectangle index raises the same :class:`ValueError` instead.
+        """
+        super().validate_request(request)
+        if getattr(self._index, "dims", None) is not None and len(request.args) == 1:
+            for lo, hi in request.args[0]:
+                validate_range_bounds(lo, hi)
 
     def plan_request(self, request) -> QueryPlan:
         """Plan an engine request without executing draws (--explain)."""

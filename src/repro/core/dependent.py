@@ -31,19 +31,15 @@ class DependentRangeSampler(RangeQueryMixin):
     """Range sampling without cross-query independence (§2)."""
 
     # The fixed preprocessing permutation is the whole point of this
-    # baseline, so there is no per-request stream to thread through —
-    # seeded requests swap the conversion randomness only.
+    # baseline: a request's stream drives the WoR→WR conversion only.
     engine_ops = {
-        "sample": EngineOp("sample_with_replacement", takes_s=True, pass_rng=False),
-        "sample_wor": EngineOp(
-            "sample_without_replacement", takes_s=True, pass_rng=False
-        ),
+        "sample": EngineOp("sample_with_replacement", spawn=True),
+        "sample_wor": EngineOp("sample_without_replacement", spawn=True),
     }
-    engine_thread_safe = False
 
-    def sample(self, x: float, y: float, s: int) -> List[float]:
+    def sample(self, x: float, y: float, s: int, *, rng: RNGLike = None) -> List[float]:
         """Alias for :meth:`sample_with_replacement` (protocol entry)."""
-        return self.sample_with_replacement(x, y, s)
+        return self.sample_with_replacement(x, y, s, rng=rng)
 
     def __init__(self, keys: Sequence[float], rng: RNGLike = None):
         if len(keys) == 0:
@@ -65,12 +61,15 @@ class DependentRangeSampler(RangeQueryMixin):
     def keys(self) -> List[float]:
         return self._tree.keys
 
-    def sample_without_replacement(self, x: float, y: float, s: int) -> List[float]:
+    def sample_without_replacement(
+        self, x: float, y: float, s: int, *, rng: RNGLike = None
+    ) -> List[float]:
         """A WoR sample of size ``s`` from ``S ∩ [x, y]``.
 
         Correctly uniform over size-``s`` subsets *per query*, but repeating
         the query reproduces the identical output — the dependence the
-        paper's IQS definition (eq. 1) forbids.
+        paper's IQS definition (eq. 1) forbids. Draws nothing, so ``rng``
+        is accepted for the protocol and unused.
         """
         validate_sample_size(s)
         validate_range_bounds(x, y)
@@ -84,7 +83,9 @@ class DependentRangeSampler(RangeQueryMixin):
         keys = self._tree.keys
         return [keys[index] for _, index in hits]
 
-    def sample_with_replacement(self, x: float, y: float, s: int) -> List[float]:
+    def sample_with_replacement(
+        self, x: float, y: float, s: int, *, rng: RNGLike = None
+    ) -> List[float]:
         """A WR sample of size ``s`` via the O(s) WoR→WR conversion (§2).
 
         The conversion consumes fresh randomness, so two calls differ in
@@ -99,7 +100,8 @@ class DependentRangeSampler(RangeQueryMixin):
         wor = self._tree.lowest_ranked_in_range(x, y, min(s, population))
         keys = self._tree.keys
         wor_keys = [keys[index] for _, index in wor]
-        return wr_from_wor(wor_keys, population, rng=self._rng, size=s)
+        rng = self._rng if rng is None else rng
+        return wr_from_wor(wor_keys, population, rng=rng, size=s)
 
     def _count(self, x: float, y: float) -> int:
         keys = self._tree.keys

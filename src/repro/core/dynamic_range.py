@@ -89,12 +89,10 @@ def _split(node: Optional[_Node], key, *, include_key_left: bool) -> Tuple[Optio
 class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
     """Treap-backed weighted range sampling with O(log n) updates."""
 
-    # Updates mutate the treap, so concurrent execution is unsafe; seeded
-    # requests go through the protocol's swap path.
+    # Queries only read the treap (updates are not engine ops).
     engine_ops = {
-        "sample": EngineOp("sample", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample", spawn=True),
     }
-    engine_thread_safe = False
 
     plan_kind = "dynamic"
 
@@ -220,9 +218,8 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
             for node, whole in self._canonical_subtrees(x, y)
         )
 
-    def _walk(self, node: _Node) -> K:
+    def _walk(self, node: _Node, rng: RNGLike) -> K:
         """Weighted top-down walk; internal nodes carry their own element."""
-        rng = self._rng
         while True:
             target = rng.random() * node.subtree_weight
             if node.left is not None:
@@ -271,10 +268,10 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
             raise EmptyQueryError(f"no keys in [{x!r}, {y!r}]")
         return plan
 
-    def execute_plan(self, plan: QueryPlan, s: int) -> List[K]:
+    def execute_plan(self, plan: QueryPlan, s: int, rng: RNGLike = None) -> List[K]:
         """Draw ``s`` samples from a plan (all randomness spent here)."""
         cover, cumulative, running = plan.payload
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         result: List[K] = []
         from bisect import bisect_right
 
@@ -284,10 +281,10 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
             if index == len(cover):
                 index -= 1
             node, whole = cover[index]
-            result.append(self._walk(node) if whole else node.key)
+            result.append(self._walk(node, rng) if whole else node.key)
         return result
 
-    def sample(self, x: K, y: K, s: int) -> List[K]:
+    def sample(self, x: K, y: K, s: int, *, rng: RNGLike = None) -> List[K]:
         """``s`` independent weighted samples from ``S ∩ [x, y]``.
 
         O((1 + s) log n) expected; outputs of all queries are mutually
@@ -297,7 +294,7 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
         plan = self.plan_range(x, y)
         if not plan.payload[0]:
             raise EmptyQueryError(f"no keys in [{x!r}, {y!r}]")
-        return self.execute_plan(plan, s)
+        return self.execute_plan(plan, s, rng)
 
     def keys_in_order(self) -> List[K]:
         """In-order key listing (testing helper)."""

@@ -76,10 +76,10 @@ class SetUnionSampler(EngineSampler):
         standard rebuilding schedule). ``0`` disables rebuilding.
     """
 
-    # Stateful (rebuild epochs, attempt counters): seeded requests execute
-    # under the protocol's swap lock rather than a per-call rng.
+    # Queries advance the rebuild epoch and the attempt counters, so the
+    # output depends on request order: not thread-safe (runs in order).
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_many", spawn=True),
     }
 
     def __init__(
@@ -118,12 +118,13 @@ class SetUnionSampler(EngineSampler):
     # construction / rebuilding
     # ------------------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self, rng: RNGLike = None) -> None:
+        rng = self._rng if rng is None else rng
         universe: List[T] = list(dict.fromkeys(
             element for subset in self._family for element in subset
         ))
         self._universe_size = len(universe)  # U in the paper
-        self._rng.shuffle(universe)
+        rng.shuffle(universe)
         rank_of: Dict[T, int] = {
             element: position + 1 for position, element in enumerate(universe)
         }
@@ -140,7 +141,7 @@ class SetUnionSampler(EngineSampler):
         n = max(self._total_size, 2)
         self._m_cap = max(1, math.ceil(self._cap_constant * math.log2(n)))
         self._sketch_threshold = max(1.0, math.log2(n))
-        self._salt = self._rng.getrandbits(63)
+        self._salt = rng.getrandbits(63)
         self._sketches: List[Optional[KMVSketch]] = []
         for subset in self._family:
             if len(subset) >= self._sketch_threshold:
@@ -151,10 +152,10 @@ class SetUnionSampler(EngineSampler):
                 self._sketches.append(None)
         self._queries_since_rebuild = 0
 
-    def rebuild(self) -> None:
+    def rebuild(self, *, rng: RNGLike = None) -> None:
         """Draw a fresh permutation and re-index (the §7 remark)."""
         self.rebuild_count += 1
-        self._build()
+        self._build(rng)
 
     # ------------------------------------------------------------------
     # introspection
@@ -222,7 +223,9 @@ class SetUnionSampler(EngineSampler):
                 members[ranks[position]] = items[position]
         return members
 
-    def sample(self, group: Sequence[int], max_attempts: Optional[int] = None) -> T:
+    def sample(
+        self, group: Sequence[int], max_attempts: Optional[int] = None, *, rng: RNGLike = None
+    ) -> T:
         """One uniform, independent sample from ``∪G``.
 
         Raises :class:`EmptyQueryError` if the union is empty and
@@ -238,14 +241,14 @@ class SetUnionSampler(EngineSampler):
         if all(len(self._family[i]) == 0 for i in group):
             raise EmptyQueryError("union of the queried sets is empty")
 
+        rng = self._rng if rng is None else rng
         if self._rebuild_after and self._queries_since_rebuild >= self._rebuild_after:
-            self.rebuild()
+            self.rebuild(rng=rng)
 
         estimate = max(1.0, self.union_size_estimate(group))
         num_intervals = max(1, int(round(estimate)))
         interval_length = self._universe_size / num_intervals
         m = self._m_cap
-        rng = self._rng
 
         budget = max_attempts if max_attempts is not None else 500 * m + 1000
         attempts = 0
@@ -287,7 +290,7 @@ class SetUnionSampler(EngineSampler):
                     _SU_ATTEMPTS.add(attempts)
                 return members[chosen]
 
-    def sample_many(self, group: Sequence[int], s: int) -> List[T]:
+    def sample_many(self, group: Sequence[int], s: int, *, rng: RNGLike = None) -> List[T]:
         """``s`` independent uniform samples from ``∪G``.
 
         The batch path runs the same interval-rejection procedure as
@@ -299,8 +302,9 @@ class SetUnionSampler(EngineSampler):
         batch at rebuild boundaries.
         """
         validate_sample_size(s)
+        rng = self._rng if rng is None else rng
         if not kernels.use_batch(s):
-            return [self.sample(group) for _ in range(s)]
+            return [self.sample(group, rng=rng) for _ in range(s)]
         group = list(group)
         if not group:
             raise EmptyQueryError("empty group G")
@@ -313,17 +317,17 @@ class SetUnionSampler(EngineSampler):
         result: List[T] = []
         while len(result) < s:
             if self._rebuild_after and self._queries_since_rebuild >= self._rebuild_after:
-                self.rebuild()
+                self.rebuild(rng=rng)
             chunk = s - len(result)
             if self._rebuild_after:
                 chunk = min(chunk, self._rebuild_after - self._queries_since_rebuild)
-            result.extend(self._sample_batch(group, chunk))
+            result.extend(self._sample_batch(group, chunk, rng))
         return result
 
-    def _sample_batch(self, group: Sequence[int], count: int) -> List[T]:
+    def _sample_batch(self, group: Sequence[int], count: int, rng: RNGLike) -> List[T]:
         """``count`` batched draws under the current permutation epoch."""
         np = kernels.np
-        gen = kernels.batch_generator(self._rng)
+        gen = kernels.batch_generator(rng)
 
         # Distinct ranks of the group's members under the current
         # permutation (the batched analogue of the per-interval dedup in

@@ -121,7 +121,7 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
         steps = 0
         while True:
             try:
-                next(generator)
+                generator.send(self._rng)
                 steps += 1
             except StopIteration as stop:
                 self._active: ExternalArray = stop.value
@@ -137,17 +137,24 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
 
     # ------------------------------------------------------------------
 
-    def _rebuild_generator(self) -> Generator[None, None, ExternalArray]:
-        """The pool pipeline of §8, one yield per block-granular step."""
+    def _rebuild_generator(self) -> Generator[None, RNGLike, ExternalArray]:
+        """The pool pipeline of §8, one yield per block-granular step,
+        returned primed: the spare's pipeline spans queries, so each step
+        is sent the stream of the query that advances it."""
+        generator = self._rebuild_steps()
+        next(generator)
+        return generator
+
+    def _rebuild_steps(self) -> Generator[None, RNGLike, ExternalArray]:
+        rng = yield
         self.rebuild_count += 1
-        rng = self._rng
         n = len(self._data)
 
         writer = ExternalWriter(self.machine)
         for slot in range(self._pool_size):
             writer.append((int(rng.random() * n) % n, slot))
             if (slot + 1) % self.machine.block_size == 0:
-                yield
+                rng = yield
         pairs = writer.finish()
 
         by_index = yield from _stepwise_sort(self.machine, pairs)
@@ -178,20 +185,20 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
         by_slot.free()
         return pool_writer.finish()
 
-    def _advance_spare(self, steps: int) -> None:
+    def _advance_spare(self, steps: int, rng: RNGLike) -> None:
         for _ in range(steps):
             if self._spare_result is not None:
                 return
             try:
-                next(self._spare_generator)
+                self._spare_generator.send(rng)
                 self._spare_steps_done += 1
             except StopIteration as stop:
                 self._spare_result = stop.value
                 return
 
-    def _finish_spare_and_swap(self) -> None:
+    def _finish_spare_and_swap(self, rng: RNGLike) -> None:
         while self._spare_result is None:
-            self._advance_spare(1_000_000)
+            self._advance_spare(1_000_000, rng)
         self._active.free()
         self._active = self._spare_result
         self._cursor = 0
@@ -201,7 +208,7 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
 
     # ------------------------------------------------------------------
 
-    def query(self, s: int) -> List:
+    def query(self, s: int, *, rng: RNGLike = None) -> List:
         """``s`` WR samples with worst-case-bounded I/O.
 
         Cost per query: ``⌈s/B⌉`` sequential pool reads plus at most
@@ -209,12 +216,13 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
         incremental rebuild steps, each O(1) I/Os — no rebuild spikes.
         """
         validate_sample_size(s)
+        rng = self._rng if rng is None else rng
         start_ios = self.machine.stats.total
         result: List = []
         while len(result) < s:
             available = self._pool_size - self._cursor
             if available == 0:
-                self._finish_spare_and_swap()
+                self._finish_spare_and_swap(rng)
                 available = self._pool_size
             take = min(s - len(result), available)
             result.extend(self._active.read_range(self._cursor, self._cursor + take))
@@ -227,7 +235,7 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
                 * (self._cursor / self._pool_size)
             ) + 1
             if self._spare_steps_done < target:
-                self._advance_spare(target - self._spare_steps_done)
+                self._advance_spare(target - self._spare_steps_done, rng)
         self.max_query_ios = max(
             self.max_query_ios, self.machine.stats.total - start_ios
         )

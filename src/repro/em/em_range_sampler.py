@@ -56,10 +56,10 @@ class EMRangeSampler(RangeQueryMixin):
     trade-off. Pass ``weights`` for weighted sampling.
     """
 
-    # Pools mutate on every query (consume + refill), so execution is
-    # stateful: seeded requests go through the protocol's swap path.
+    # Pools mutate on every query (consume + refill), so the output
+    # depends on request order: not thread-safe (runs in order).
     engine_ops = {
-        "sample": EngineOp("query", takes_s=True, pass_rng=False),
+        "sample": EngineOp("query", spawn=True),
     }
     engine_thread_safe = False
 
@@ -79,9 +79,9 @@ class EMRangeSampler(RangeQueryMixin):
             machine = EMMachine(block_size=block_size, memory_blocks=memory_blocks)
         return cls(machine, values, **params)
 
-    def sample(self, x: float, y: float, s: int) -> List[float]:
+    def sample(self, x: float, y: float, s: int, *, rng: RNGLike = None) -> List[float]:
         """Alias for :meth:`query` (protocol entry)."""
-        return self.query(x, y, s)
+        return self.query(x, y, s, rng=rng)
 
     def __init__(
         self,
@@ -115,9 +115,8 @@ class EMRangeSampler(RangeQueryMixin):
     # pool management
     # ------------------------------------------------------------------
 
-    def _draw_from_leaf(self, leaf_index: int, count: int) -> List:
+    def _draw_from_leaf(self, leaf_index: int, count: int, rng: RNGLike) -> List:
         """``count`` (weighted) draws from one leaf's elements."""
-        rng = self._rng
         values = self.tree.read_leaf_values(leaf_index)
         if not self.tree.is_weighted:
             width = len(values)
@@ -126,23 +125,22 @@ class EMRangeSampler(RangeQueryMixin):
         prob, alias = build_alias_tables(weights)
         return [values[alias_draw(prob, alias, rng)] for _ in range(count)]
 
-    def _refill(self, ref: Ref) -> List:
+    def _refill(self, ref: Ref, rng: RNGLike) -> List:
         """Draw a fresh pool of samples for the subtree behind ``ref``."""
         self.refill_count += 1
         if obs.ENABLED:
             _EM_REFILLS.inc()
-        rng = self._rng
         capacity = self._pool_capacity
         kind, identifier = ref
         if kind == "leaf":
-            return self._draw_from_leaf(identifier, capacity)
+            return self._draw_from_leaf(identifier, capacity, rng)
         children = self.tree.children_of(ref)
         child_weights = [child[5] for child in children]
         allocation = multinomial_split(child_weights, capacity, rng)
         samples: List = []
         for child, child_count in zip(children, allocation):
             if child_count:
-                samples.extend(self._consume(child[2], child_count))
+                samples.extend(self._consume(child[2], child_count, rng))
         rng.shuffle(samples)  # interleave children fairly (CPU free)
         return samples
 
@@ -153,7 +151,7 @@ class EMRangeSampler(RangeQueryMixin):
         for index, block_id in enumerate(blocks):
             self.machine.write_block(block_id, words[index * B : (index + 1) * B])
 
-    def _consume(self, ref: Ref, count: int) -> List:
+    def _consume(self, ref: Ref, count: int, rng: RNGLike) -> List:
         """Take ``count`` samples from the subtree's pool, refilling as needed.
 
         The cursor lives in word 0 of the pool's first block; consuming k
@@ -164,7 +162,7 @@ class EMRangeSampler(RangeQueryMixin):
         if blocks is None:
             blocks = self.machine.allocate_blocks(self._pool_blocks)
             self._pool_block[ref] = blocks
-            self._write_pool(blocks, self._refill(ref))
+            self._write_pool(blocks, self._refill(ref, rng))
 
         B = self.machine.block_size
         taken: List = []
@@ -173,7 +171,7 @@ class EMRangeSampler(RangeQueryMixin):
             cursor = head[0]
             available = self._pool_capacity - cursor
             if available == 0:
-                self._write_pool(blocks, self._refill(ref))
+                self._write_pool(blocks, self._refill(ref, rng))
                 continue
             take = min(count - len(taken), available)
             # Words 1 + cursor .. 1 + cursor + take span one or more blocks.
@@ -229,7 +227,7 @@ class EMRangeSampler(RangeQueryMixin):
             raise EmptyQueryError(f"no values in [{x}, {y}]")
         return plan
 
-    def query(self, x: float, y: float, s: int) -> List[float]:
+    def query(self, x: float, y: float, s: int, *, rng: RNGLike = None) -> List[float]:
         """``s`` independent (weighted) samples of ``S ∩ [x, y]``."""
         validate_sample_size(s)
         if obs.ENABLED:
@@ -237,14 +235,14 @@ class EMRangeSampler(RangeQueryMixin):
         plan = self.plan_range(x, y)
         if not plan.payload:
             raise EmptyQueryError(f"no values in [{x}, {y}]")
-        return self.execute_plan(plan, s)
+        return self.execute_plan(plan, s, rng)
 
-    def execute_plan(self, plan: QueryPlan, s: int) -> List[float]:
+    def execute_plan(self, plan: QueryPlan, s: int, rng: RNGLike = None) -> List[float]:
         """Draw ``s`` samples from a plan (all randomness spent here;
         consumes and refills the sample pools)."""
         units = plan.payload
-        allocation = multinomial_split([weight for _, _, _, weight in units], s, self._rng)
-        rng = self._rng
+        rng = self._rng if rng is None else rng
+        allocation = multinomial_split([weight for _, _, _, weight in units], s, rng)
         result: List[float] = []
         B = self.machine.block_size
         for (ref, lo, hi, _), unit_count in zip(units, allocation):
@@ -272,7 +270,7 @@ class EMRangeSampler(RangeQueryMixin):
                         for _ in range(unit_count)
                     )
             else:
-                result.extend(self._consume(ref, unit_count))
+                result.extend(self._consume(ref, unit_count, rng))
         return result
 
     def naive_query(self, x: float, y: float, s: int) -> List[float]:

@@ -44,7 +44,7 @@ class _EMSetEngineMixin(EngineSampler):
     """Shared engine plumbing for the §8 set samplers (args=(), op→query)."""
 
     engine_ops = {
-        "sample": EngineOp("query", takes_s=True, pass_rng=False),
+        "sample": EngineOp("query", spawn=True),
     }
     engine_thread_safe = False
 
@@ -62,9 +62,9 @@ class _EMSetEngineMixin(EngineSampler):
             machine = EMMachine(block_size=block_size, memory_blocks=memory_blocks)
         return cls(machine, values, **params)
 
-    def sample(self, s: int) -> List:
+    def sample(self, s: int, *, rng: RNGLike = None) -> List:
         """Alias for ``query`` (protocol entry)."""
-        return self.query(s)
+        return self.query(s, rng=rng)
 
 
 class NaiveEMSetSampler(_EMSetEngineMixin):
@@ -80,12 +80,12 @@ class NaiveEMSetSampler(_EMSetEngineMixin):
     def __len__(self) -> int:
         return len(self._data)
 
-    def query(self, s: int) -> List:
+    def query(self, s: int, *, rng: RNGLike = None) -> List:
         """``s`` WR samples via ``s`` random accesses (≈ s I/Os cold)."""
         validate_sample_size(s)
         if obs.ENABLED:
             _EM_QUERIES.inc()
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         n = len(self._data)
         return [self._data.get(int(rng.random() * n) % n) for _ in range(s)]
 
@@ -121,13 +121,13 @@ class SamplePoolSetSampler(_EMSetEngineMixin):
     def clean_samples_left(self) -> int:
         return self._pool_size - self._cursor
 
-    def _rebuild_pool(self) -> None:
+    def _rebuild_pool(self, rng: RNGLike = None) -> None:
         """Refill the pool with fresh iid WR samples using the sort recipe."""
         start_ios = self.machine.stats.total
         self.rebuild_count += 1
         if obs.ENABLED:
             _EM_REFILLS.inc()
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         n = len(self._data)
 
         if self._pool is not None:
@@ -166,7 +166,7 @@ class SamplePoolSetSampler(_EMSetEngineMixin):
         self._cursor = 0
         self.rebuild_ios += self.machine.stats.total - start_ios
 
-    def query(self, s: int) -> List:
+    def query(self, s: int, *, rng: RNGLike = None) -> List:
         """``s`` WR samples by consuming the pool sequentially.
 
         Marks the returned entries dirty (never reused); rebuilds the pool
@@ -180,7 +180,7 @@ class SamplePoolSetSampler(_EMSetEngineMixin):
         while len(result) < s:
             available = self._pool_size - self._cursor
             if available == 0:
-                self._rebuild_pool()
+                self._rebuild_pool(rng)
                 available = self._pool_size
             take = min(s - len(result), available)
             result.extend(self._pool.read_range(self._cursor, self._cursor + take))

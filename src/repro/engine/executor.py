@@ -452,7 +452,9 @@ class SamplingEngine:
         # sampler itself, or an engine-owned sharded view with an
         # execution runner bound); under the sharded placement requests
         # run in submission order and the parallelism lives *inside*
-        # each request's shard fan-out.
+        # each request's shard fan-out. A sampler whose queries change
+        # its state (engine_thread_safe False) also runs in submission
+        # order, so the thread backend returns what serial does.
         sampler = self._placement.view(sampler, self)
         planned = list(zip(jobs, plan_jobs(sampler, jobs)))
 
@@ -462,6 +464,7 @@ class SamplingEngine:
         if (
             self.placement == "local"
             and self.execution == "thread"
+            and getattr(sampler, "engine_thread_safe", False)
             and len(jobs) > 1
             and self.max_workers > 1
         ):

@@ -16,17 +16,17 @@ contract for every structure): a non-int ``s`` is a :class:`TypeError`,
 :class:`~repro.errors.EmptyQueryError` — itself a :class:`ValueError` —
 exactly as the native ``sample(x, y, s)`` paths do.
 
-RNG override semantics: structures whose hot paths accept a per-call
-``rng`` (the §3.2/§4 range samplers) declare ``pass_rng=True`` ops and
-can execute concurrently, each request on its own stream. All other
-structures execute a seeded request under a re-seed of their *instance*
-generator (:func:`repro.substrates.rng.temporary_seed`) behind a global
-lock — correct, still deterministic per (state, seed), but serialized.
+RNG contract: every op method takes a keyword-only ``rng`` and spends
+every draw of the request on it, so each request's stream is an
+argument, never shared mutable state. ``rng=None`` consumes the
+sampler's instance stream. Structures that change state during a query
+(set-union rebuilds, EM pool refills) declare
+``engine_thread_safe = False``; the engine's thread backend runs them in
+submission order on the calling thread, so thread equals serial.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import (
@@ -45,7 +45,7 @@ from typing import (
 )
 
 from repro.errors import EmptyQueryError
-from repro.substrates.rng import ensure_rng
+from repro.substrates.rng import ensure_rng, spawn_rng
 from repro.validation import validate_range_bounds
 
 __all__ = [
@@ -211,16 +211,17 @@ class EngineOp(NamedTuple):
     """One entry of a sampler's op table.
 
     ``method`` names the bound method implementing the op. Its call shape
-    is ``method(*request.args, request.s)`` when ``takes_s`` (the common
-    case), else ``method(*request.args)``. ``pass_rng`` marks methods
-    accepting a keyword-only ``rng`` override — those run per-request
-    streams without touching shared generator state and are safe under
-    the engine's thread backend.
+    is ``method(*request.args, request.s, rng=rng)`` when ``takes_s``
+    (the common case), else ``method(*request.args, rng=rng)``.
+    ``spawn`` runs the op on ``spawn_rng(rng)`` instead of ``rng``
+    itself. It exists only to keep the golden streams: those ops once
+    drew from their instance generator re-seeded with
+    ``rng.getrandbits(64)``, which is the same stream.
     """
 
     method: str
     takes_s: bool = True
-    pass_rng: bool = False
+    spawn: bool = False
 
 
 @runtime_checkable
@@ -252,22 +253,12 @@ def plan_jobs(sampler: Any, jobs: Sequence[Tuple[QueryRequest, Any]]) -> List[An
     return planner([request for request, _ in jobs])
 
 
-# One lock for every state-swap execution in the process: swap-based
-# samplers mutate their shared generator in place, so two concurrent
-# seeded requests on *any* pair of them must not interleave. Samplers
-# with pass_rng ops never take it.
-_SWAP_LOCK = threading.RLock()
-
-
 class EngineSampler:
     """Mixin implementing the engine protocol over a declarative op table.
 
     Subclasses set :data:`engine_ops` (op name → :class:`EngineOp`) and
     optionally :data:`engine_spec` (their registry key, stamped at
-    registration time) and :data:`engine_thread_safe` (``True`` when every
-    op is ``pass_rng`` and the structure's caches tolerate concurrent
-    readers, letting the engine's thread backend run requests on it in
-    parallel).
+    registration time) and :data:`engine_thread_safe`.
     """
 
     __slots__ = ()  # keep slotted subclasses (e.g. AliasSampler) slotted
@@ -276,7 +267,11 @@ class EngineSampler:
     engine_spec: ClassVar[Optional[str]] = None
     #: Op name -> EngineOp. Subclasses must override.
     engine_ops: ClassVar[Mapping[str, EngineOp]] = {}
-    #: Whether concurrent execute() calls with distinct rngs are safe.
+    #: ``True`` when a query writes no instance attribute, so concurrent
+    #: execute() calls with distinct rngs return what serial calls do and
+    #: the engine's thread backend may run them in parallel. ``False``
+    #: (structures that rebuild or consume pools mid-query, whose output
+    #: depends on request order) runs them in submission order.
     engine_thread_safe: ClassVar[bool] = False
 
     @classmethod
@@ -330,10 +325,13 @@ class EngineSampler:
         or ``None``); when ``None``, ``request.seed`` is consulted, and
         failing that the sampler's instance stream is consumed. ``plan``
         is this request's entry from the sampler's ``plan_requests``
-        (range samplers; ``None`` plans inside the call). Errors
-        propagate — batch-level capture is the engine's job.
+        (range samplers; ``None`` plans inside the call). ``plan_requests``
+        validated every request it planned, so only an unplanned request
+        is validated here. Errors propagate — batch-level capture is the
+        engine's job.
         """
-        self.validate_request(request)
+        if plan is None:
+            self.validate_request(request)
         seed = request.seed
         if rng is None and seed is not None:
             rng = ensure_rng(seed)
@@ -360,26 +358,11 @@ class EngineSampler:
         op = self.engine_ops[request.op]
         method = getattr(self, op.method)
         call_args = (*request.args, request.s) if op.takes_s else request.args
-        if rng is None:
-            return method(*call_args)
-        rng = ensure_rng(rng)
-        if op.pass_rng:
-            return method(*call_args, rng=rng)
-        # No per-call rng hook: re-seed the instance's shared generator
-        # for the duration of the call. Correct for every alias of the
-        # generator object (see substrates.rng.temporary_seed) but
-        # mutually exclusive across threads, hence the global lock.
-        from repro.substrates.rng import temporary_seed
-
-        instance_rng = getattr(self, "_rng", None)
-        if instance_rng is None:
-            raise TypeError(
-                f"{type(self).__name__} has no RNG stream to override for a "
-                f"seeded request (op {request.op!r})"
-            )
-        with _SWAP_LOCK:
-            with temporary_seed(instance_rng, rng.getrandbits(64)):
-                return method(*call_args)
+        if rng is not None:
+            rng = ensure_rng(rng)
+            if op.spawn:
+                rng = spawn_rng(rng)
+        return method(*call_args, rng=rng)
 
 
 class RangeQueryMixin(EngineSampler):
@@ -396,11 +379,9 @@ class RangeQueryMixin(EngineSampler):
     __slots__ = ()
 
     engine_ops: ClassVar[Mapping[str, EngineOp]] = {
-        "sample": EngineOp("sample", takes_s=True, pass_rng=True),
-        "sample_indices": EngineOp("sample_indices", takes_s=True, pass_rng=True),
-        "sample_wor": EngineOp(
-            "sample_without_replacement", takes_s=True, pass_rng=True
-        ),
+        "sample": EngineOp("sample"),
+        "sample_indices": EngineOp("sample_indices"),
+        "sample_wor": EngineOp("sample_without_replacement"),
     }
     engine_thread_safe: ClassVar[bool] = True
 

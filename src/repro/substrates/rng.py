@@ -24,6 +24,10 @@ Default-seed policy (the single place it is documented):
   its own independent stream by *seed-spawning*: request ``i`` of an
   engine seeded with ``seed`` uses :func:`derive_seed`\\ ``(seed, i)``
   unless the request carries an explicit per-request seed.
+* Every sampler op takes a keyword-only ``rng`` and spends every draw of
+  the call on it (``None`` = the instance stream), a mid-query rebuild
+  or pool refill included. Sub-structures keep the instance generator
+  they captured when they were built.
 
 No sampler may fall back to the global :mod:`random` module or construct
 ``random.Random()`` locally; everything funnels through
@@ -32,9 +36,8 @@ No sampler may fall back to the global :mod:`random` module or construct
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 import random
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 RNGLike = Union[int, random.Random, None]
 
@@ -94,32 +97,3 @@ def derive_seed(master_seed: int, index: int) -> int:
 def spawn_seeds(master_seed: int, count: int) -> List[int]:
     """``count`` independent per-stream seeds derived from ``master_seed``."""
     return [derive_seed(master_seed, index) for index in range(count)]
-
-
-@contextmanager
-def temporary_seed(rng: random.Random, seed: int) -> Iterator[random.Random]:
-    """Run a block with ``rng`` re-seeded to ``seed``, then restore it.
-
-    Swaps the generator's *internal state* (not the attribute holding it),
-    so every structure sharing the object — e.g. a fair-NN index and its
-    embedded set-union sampler — sees the temporary stream. The cached
-    NumPy batch generator that :func:`repro.core.kernels.batch_generator`
-    hangs off the object is stashed and re-derived for the same reason.
-    Used by the engine protocol for samplers whose hot paths do not accept
-    a per-call ``rng`` override.
-    """
-    from repro.core import kernels  # deferred: kernels imports repro.obs only
-
-    saved_state = rng.getstate()
-    saved_generator = getattr(rng, kernels.GENERATOR_ATTR, None)
-    if saved_generator is not None:
-        delattr(rng, kernels.GENERATOR_ATTR)
-    rng.seed(seed)
-    try:
-        yield rng
-    finally:
-        rng.setstate(saved_state)
-        if saved_generator is not None:
-            setattr(rng, kernels.GENERATOR_ATTR, saved_generator)
-        elif hasattr(rng, kernels.GENERATOR_ATTR):
-            delattr(rng, kernels.GENERATOR_ATTR)

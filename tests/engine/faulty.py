@@ -34,7 +34,7 @@ class FaultySampler(EngineSampler):
     """
 
     engine_ops: ClassVar[Mapping[str, EngineOp]] = {
-        "sample": EngineOp("draw", takes_s=True, pass_rng=True),
+        "sample": EngineOp("draw"),
     }
     engine_thread_safe: ClassVar[bool] = True
 

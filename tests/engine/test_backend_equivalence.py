@@ -1,18 +1,21 @@
 """Backend-equivalence harness: all four backends, two agreement tiers.
 
-Tier 1 (byte-identical): structures whose request execution is a pure
-function of ``(structure, request, seed)`` — the ``pass_rng`` families
-plus the swap-locked stateless samplers — must produce *identical*
-batches under serial, thread, and process execution, because the engine
-spawns the same per-request seed stream regardless of backend and the
-process workers rebuild the same deterministic demo structure.
+Tier 1 (byte-identical): every registry spec produces *identical*
+batches under serial and thread execution, because the engine spawns
+the same per-request seed stream regardless of backend, every op draws
+from its request's stream alone, and samplers whose queries change
+their state run in submission order. Specs whose request execution is
+a pure function of ``(structure, request, seed)`` (the
+``engine_thread_safe`` ones) match under process execution too, since
+the workers rebuild the same deterministic demo structure.
 
 Tier 2 (distributional): stateful samplers (pool refills, periodic
-rebuilds) and the shard backend (which spends per-draw randomness in a
-different order than the serial stream, §4.1 multinomial split) are
-exchangeable with serial, not byte-identical — each backend's output is
-checked against the known target distribution with a chi-square test at
-a fixed seed, so the suite is deterministic and flake-free.
+rebuilds) under process execution and the shard backend (which spends
+per-draw randomness in a different order than the serial stream, §4.1
+multinomial split) are exchangeable with serial, not byte-identical —
+each backend's output is checked against the known target distribution
+with a chi-square test at a fixed seed, so the suite is deterministic and
+flake-free.
 
 Tier 3 (composed placement): the placement × execution refactor promises
 that ``placement="sharded"`` composed with *any* execution backend —
@@ -26,23 +29,12 @@ import pytest
 
 from repro.engine import QueryRequest, SamplingEngine, build, demo_build
 from repro.engine.demo import DEMO_N
+from repro.engine.registry import REGISTRY
 from repro.errors import WorkerCrashedError
 from repro.stats.tests import (
     chi_square_uniform_pvalue,
     chi_square_weighted_pvalue,
 )
-
-#: Specs whose demo execution is byte-reproducible per (structure, seed).
-BYTE_SPECS = [
-    "alias",
-    "tree.topdown",
-    "tree.flat",
-    "range.treewalk",
-    "range.lemma2",
-    "range.chunked",
-    "range.naive",
-    "range.integer",
-]
 
 #: (spec, uniform support of its demo workload) for the stateful tier.
 STATEFUL_SPECS = [
@@ -76,9 +68,12 @@ def demo_requests(spec, count, s):
 
 
 class TestByteIdenticalTier:
-    @pytest.mark.parametrize("spec", BYTE_SPECS)
+    @pytest.mark.parametrize("spec", [entry.key for entry in REGISTRY.specs()])
     def test_serial_thread_process_identical(self, spec, process_engine):
-        requests = demo_requests(spec, count=16, s=5)
+        # 64 requests: enough for the thread pool to interleave them, and
+        # for set-union, fair-NN and the EM pools to change state between
+        # requests.
+        requests = demo_requests(spec, count=64, s=5)
         sampler, _ = demo_build(spec)
         serial = SamplingEngine(backend="serial", seed=ENGINE_SEED).run(
             sampler, requests
@@ -87,12 +82,13 @@ class TestByteIdenticalTier:
         threaded = SamplingEngine(
             backend="thread", seed=ENGINE_SEED, max_workers=4
         ).run(sampler, requests)
-        proc = process_engine.run_token(("demo", spec, DEMO_N), requests)
         assert all(r.ok for r in serial)
         values = [r.values for r in serial]
         assert [r.values for r in threaded] == values
-        assert [r.values for r in proc] == values
-        assert [r.seed for r in proc] == [r.seed for r in serial]
+        if sampler.engine_thread_safe:
+            proc = process_engine.run_token(("demo", spec, DEMO_N), requests)
+            assert [r.values for r in proc] == values
+            assert [r.seed for r in proc] == [r.seed for r in serial]
 
 
 class TestDistributionalTier:

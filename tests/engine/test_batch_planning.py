@@ -111,6 +111,35 @@ def test_batches_take_the_batched_cover_walk(monkeypatch):
     assert len(calls) == 1 and calls[0] >= kernels.BATCH_MIN_SIZE
 
 
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_each_request_is_validated_once(spec, backend, monkeypatch):
+    # plan_requests validates what it plans, so execute() validates only
+    # the requests it did not plan (here: the sample_wor op).
+    sampler = build(spec, keys=KEYS, weights=WEIGHTS, rng=5)
+    planned = [
+        QueryRequest(op="sample_indices", args=(KEYS[lo], KEYS[hi]), s=4, seed=j)
+        for j, (lo, hi) in enumerate(spans(20, seed=3))
+    ]
+    unplanned = [
+        QueryRequest(op="sample_wor", args=(KEYS[1], KEYS[90]), s=2, seed=j)
+        for j in range(3)
+    ]
+    requests = planned[:10] + unplanned + planned[10:]
+    calls = []
+    validate = type(sampler).validate_request
+
+    def spy(self, request):
+        calls.append(id(request))
+        return validate(self, request)
+
+    monkeypatch.setattr(type(sampler), "validate_request", spy)
+    with SamplingEngine(backend=backend, max_workers=2) as engine:
+        results = engine.run(sampler, requests)
+    assert all(result.ok for result in results)
+    assert sorted(calls) == sorted(id(request) for request in requests)
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_batch_moves_the_counters_as_request_by_request_planning(spec, metrics_on):
     warm = spans(5, seed=1)

@@ -148,6 +148,45 @@ class TestHostileRangeBounds:
         assert named in str(result.error)
 
 
+class TestHostileRectangleBounds:
+    """A NaN in any slot of a rectangle fails validation on every index.
+
+    Before the check ``coverage.rangetree`` answered ``((nan, nan), (nan,
+    nan))`` and a single NaN in either dimension with samples, while the
+    kd-tree and the quadtree raised :class:`EmptyQueryError`.
+    """
+
+    NAN = float("nan")
+    RECT = [[0.0, 3.5], [0.0, 3.5]]
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize(
+        "spec", ["coverage.kdtree", "coverage.quadtree", "coverage.rangetree"]
+    )
+    @pytest.mark.parametrize(
+        "slot",
+        [None, (0, 0), (0, 1), (1, 0), (1, 1)],
+        ids=["all", "x-lo", "x-hi", "y-lo", "y-hi"],
+    )
+    def test_rejected_with_the_same_error_everywhere(self, spec, backend, slot):
+        from repro.engine import SamplingEngine
+
+        if slot is None:
+            rect = ((self.NAN, self.NAN), (self.NAN, self.NAN))
+        else:
+            bounds = [list(pair) for pair in self.RECT]
+            bounds[slot[0]][slot[1]] = self.NAN
+            rect = tuple(tuple(pair) for pair in bounds)
+        sampler, _ = demo_build(spec)
+        requests = [QueryRequest(op="sample", args=(rect,), s=3)] * 2
+        with SamplingEngine(backend=backend, seed=1, max_workers=2) as engine:
+            results = engine.run(sampler, requests)
+        for result in results:
+            assert type(result.error) is ValueError
+            assert "is NaN" in str(result.error)
+            assert result.values is None
+
+
 class TestNativeHostileRangeBounds:
     """The same bound contract holds on the native entry points.
 
