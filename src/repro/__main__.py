@@ -143,14 +143,12 @@ def _engine_run(
     workers: int | None,
     repeat: int = 1,
     warmup: int = 0,
-    jit: bool | None = None,
     shm: bool = False,
     placement: str | None = None,
     explain: bool = False,
 ) -> int:
     from time import perf_counter
 
-    from repro.core import kernels, kernels_jit
     from repro.engine import QueryRequest, SamplingEngine, demo_build
 
     if repeat < 1:
@@ -159,17 +157,6 @@ def _engine_run(
     if warmup < 0:
         print("error: --warmup must be >= 0", file=sys.stderr)
         return 2
-    if jit is False:
-        kernels.HAVE_JIT = False
-    elif jit is True:
-        if kernels_jit.HAVE_NUMBA:
-            kernels.HAVE_JIT = True
-        else:
-            print(
-                "warning: --jit requested but numba is not installed; "
-                "continuing on the numpy tier",
-                file=sys.stderr,
-            )
 
     sampler, template = demo_build(spec, n=n)
     batch = [
@@ -223,9 +210,9 @@ def _engine_run(
             return 2
         else:
             run_once = lambda: engine.run(sampler, batch)  # noqa: E731
-        # Warmup batches absorb one-time costs — worker residency builds,
-        # shm attaches, and (on the jit tier) numba compilation — so the
-        # timed repeats measure steady-state throughput.
+        # Warmup batches absorb one-time costs — worker residency builds
+        # and shm attaches — so the timed repeats measure steady-state
+        # throughput.
         for _ in range(warmup):
             run_once()
         wall_times = []
@@ -249,7 +236,6 @@ def _engine_run(
         f"execution={engine.execution})  seed: {seed}  "
         f"requests: {requests}  s: {s}{extra}"
     )
-    print(f"kernels:  jit={'on' if kernels.HAVE_JIT else 'off'}")
     elapsed = sum(r.elapsed_s or 0.0 for r in results)
     print(f"executed: {len(results)} requests in {elapsed:.4f}s sampler time")
     if warmup or repeat > 1:
@@ -435,14 +421,8 @@ def main(argv=None) -> int:
     )
     run_parser.add_argument(
         "--warmup", type=int, default=0,
-        help="untimed batch executions first — excludes numba compilation, "
-             "worker residency builds, and shm attaches from the timings "
-             "(default: 0)",
-    )
-    run_parser.add_argument(
-        "--jit", action=argparse.BooleanOptionalAction, default=None,
-        help="force the compiled kernel tier on (--jit) or off (--no-jit); "
-             "default: auto (on when numba is installed)",
+        help="untimed batch executions first — excludes worker residency "
+             "builds and shm attaches from the timings (default: 0)",
     )
     run_parser.add_argument(
         "--shm", action="store_true",
@@ -491,7 +471,7 @@ def main(argv=None) -> int:
         return _engine_run(
             args.spec, args.requests, args.s, args.backend, args.seed, args.n,
             args.shards, args.workers, repeat=args.repeat, warmup=args.warmup,
-            jit=args.jit, shm=args.shm, placement=args.placement,
+            shm=args.shm, placement=args.placement,
             explain=args.explain,
         )
     if args.command == "obs":

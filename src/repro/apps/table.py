@@ -26,7 +26,7 @@ from repro.core.range_sampler import ChunkedRangeSampler
 from repro.engine.protocol import EngineOp, EngineSampler
 from repro.errors import BuildError, EmptyQueryError, SampleBudgetExceededError
 from repro.substrates.rng import RNGLike, ensure_rng
-from repro.validation import validate_sample_size
+from repro.validation import validate_range_bounds, validate_sample_size
 
 Row = Mapping[str, Any]
 
@@ -55,6 +55,8 @@ class _ColumnIndex:
         )
 
     def span_of(self, lo_value: Any, hi_value: Any) -> Tuple[int, int]:
+        """Sorted-rank span of ``[lo_value, hi_value]``; a NaN bound is rejected."""
+        validate_range_bounds(lo_value, hi_value)
         return (
             bisect_left(self.sorted_values, lo_value),
             bisect_right(self.sorted_values, hi_value),

@@ -26,7 +26,7 @@ from repro.core.alias import AliasTables, alias_draw, build_alias_tables
 from repro.engine.protocol import EngineOp, EngineSampler
 from repro.errors import BuildError, EmptyQueryError, SampleBudgetExceededError
 from repro.substrates.rng import RNGLike, ensure_rng
-from repro.validation import validate_sample_size, validate_weights
+from repro.validation import validate_range_bounds, validate_sample_size, validate_weights
 
 Span = Tuple[int, int]
 
@@ -108,6 +108,13 @@ class ComplementRangeIndex:
         return below, above
 
     def find_approximate_cover(self, query: Tuple[float, float]) -> ApproximateCover:
+        """The 2-span cover of ``S \\ [x, y]``; a NaN ``x`` or ``y`` is rejected.
+
+        Every complement sampler, direct or through the engine, finds its
+        cover here, so this is the one place the bounds are checked.
+        """
+        x, y = query
+        validate_range_bounds(x, y)
         n = len(self._keys)
         below, above = self.complement_counts(query)
         if below == 0 and above == 0:

@@ -217,17 +217,23 @@ class CoverageSampler(EngineSampler):
         )
 
     def validate_request(self, request) -> None:
-        """Common checks, plus NaN-free rectangles for indexes with ``dims``.
+        """Common checks, plus NaN-free rectangles and intervals.
 
         A NaN bound compares false against every coordinate, so each
         index's search would read it differently (samples from one,
         :class:`~repro.errors.EmptyQueryError` from another); every
-        rectangle index raises the same :class:`ValueError` instead.
+        rectangle index (one with ``dims``) and the interval index
+        :class:`BSTIndex` raise the same :class:`ValueError` instead.
         """
         super().validate_request(request)
-        if getattr(self._index, "dims", None) is not None and len(request.args) == 1:
+        if len(request.args) != 1:
+            return
+        if getattr(self._index, "dims", None) is not None:
             for lo, hi in request.args[0]:
                 validate_range_bounds(lo, hi)
+        elif isinstance(self._index, BSTIndex):
+            lo, hi = request.args[0]
+            validate_range_bounds(lo, hi)
 
     def plan_request(self, request) -> QueryPlan:
         """Plan an engine request without executing draws (--explain)."""

@@ -21,7 +21,7 @@ The §4.1 primitives (:func:`split_budget`, :func:`shard_seed`,
 — merged output is a pure function of ``(structure, request seed, K)``
 regardless of worker count or scheduling — is enforced at the placement
 layer, once, for every execution backend. ``merge_indices`` dispatches
-through the ``scalar → numpy → jit`` kernel ladder
+through the ``scalar → numpy`` kernel ladder
 (:func:`repro.core.kernels.offset_concat_batch`).
 """
 
@@ -174,7 +174,7 @@ def merge_indices(
     shard's local indices are shifted by its global base offset.
     Dispatches through the kernel ladder — the scalar extend loop below
     the batch cutoff, :func:`repro.core.kernels.offset_concat_batch`
-    (numpy, or the compiled tier for large merges) above it.
+    above it.
     """
     from repro.core import kernels
 

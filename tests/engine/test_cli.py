@@ -90,11 +90,6 @@ class TestEngineRun:
         assert completed.returncode == 2
         assert "--repeat" in completed.stderr
 
-    def test_no_jit_flag_reports_tier(self):
-        completed = run_cli("engine", "run", "alias", "--no-jit")
-        assert completed.returncode == 0, completed.stderr[-2000:]
-        assert "jit=off" in completed.stdout
-
     def test_shm_flag_on_process_backend(self):
         completed = run_cli(
             "engine", "run", "range.treewalk",

@@ -10,7 +10,7 @@ The contracts under test (repro.engine.placement):
   ``derive_seed(base, 1 + j)``, and a single-active-shard plan consumes
   no split stream at all;
 * ``merge_indices`` is a deterministic shard-order merge that dispatches
-  through the scalar → numpy → jit kernel ladder;
+  through the scalar → numpy kernel ladder;
 * a caller-built sharded view on its default thread runner (what the
   retired ``"shard"`` backend ran) and every composed
   ``placement="sharded"`` execution produce byte-identical engine
@@ -19,7 +19,6 @@ The contracts under test (repro.engine.placement):
 
 import pytest
 
-from repro.core import kernels
 from repro.engine import (
     BACKENDS,
     PLACEMENTS,
@@ -153,7 +152,7 @@ class TestMergeIndices:
         assert merge_indices(partials, self.BOUNDS) == [5, 100, 109, 201, 203]
 
     def test_merge_matches_scalar_reference_at_every_size(self):
-        for per_shard in (2, 8, 40, 200):  # scalar, scalar, numpy, jit-eligible
+        for per_shard in (2, 8, 40, 200):  # scalar, scalar, numpy, numpy
             partials = [(j, list(range(per_shard))) for j in range(3)]
             expected = [
                 self.BOUNDS[j] + index
@@ -165,16 +164,12 @@ class TestMergeIndices:
     def test_merge_dispatch_rides_the_kernel_ladder(self, metrics_on):
         small = [(0, list(range(4)))]  # total 4 < BATCH_MIN_SIZE: scalar
         numpy_sized = [(j, list(range(20))) for j in range(2)]  # 40 draws
-        jit_sized = [(j, list(range(200))) for j in range(2)]  # 400 draws
+        large = [(j, list(range(200))) for j in range(2)]  # 400 draws
         merge_indices(small, self.BOUNDS)
         merge_indices(numpy_sized, self.BOUNDS)
-        merge_indices(jit_sized, self.BOUNDS)
+        merge_indices(large, self.BOUNDS)
         counters = metrics_on.snapshot()["counters"]
-        if kernels.HAVE_JIT:
-            assert counters["kernels.dispatch.jit"] >= 1
-            assert counters["kernels.dispatch.numpy"] >= 1
-        else:
-            assert counters["kernels.dispatch.numpy"] >= 2
+        assert counters["kernels.dispatch.numpy"] >= 2
         histograms = metrics_on.snapshot()["histograms"]
         assert histograms["engine.shard_merge_us"]["count"] == 3
 

@@ -187,6 +187,44 @@ class TestHostileRectangleBounds:
             assert result.values is None
 
 
+class TestHostileIntervalBounds:
+    """A NaN interval bound fails validation on the non-range interval specs.
+
+    Before the check ``coverage`` answered ``((nan, nan),)`` and ``((1.0,
+    nan),)`` with samples from the whole key set, ``table`` answered
+    ``("value", nan, nan)`` with rows, and both complement samplers
+    answered ``((nan, 10.0),)`` with samples.
+    """
+
+    NAN = float("nan")
+
+    @staticmethod
+    def interval_args(spec, lo, hi):
+        if spec == "table":
+            return ("value", lo, hi)
+        return ((lo, hi),)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize(
+        "spec", ["coverage", "table", "complement.approx", "complement.precomputed"]
+    )
+    @pytest.mark.parametrize(
+        "bounds", [(NAN, NAN), (NAN, 10.0), (1.0, NAN)], ids=["all", "lo", "hi"]
+    )
+    def test_rejected_with_the_same_error_everywhere(self, spec, backend, bounds):
+        from repro.engine import SamplingEngine
+
+        sampler, _ = demo_build(spec)
+        args = self.interval_args(spec, *bounds)
+        requests = [QueryRequest(op="sample", args=args, s=3)] * 2
+        with SamplingEngine(backend=backend, seed=1, max_workers=2) as engine:
+            results = engine.run(sampler, requests)
+        for result in results:
+            assert type(result.error) is ValueError
+            assert "is NaN" in str(result.error)
+            assert result.values is None
+
+
 class TestNativeHostileRangeBounds:
     """The same bound contract holds on the native entry points.
 
